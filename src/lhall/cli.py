@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .colored import (ColoredPermutation, colored_extensions, descent_profile,
                       eulerian_polynomial, statistics)
-from .errors import LhallError
+from .errors import InvalidInputError, LhallError
 from .identities import (DEFAULT_CAPT, DEFAULT_CAPX, IDENTITY_NAMES,
                          kn_descent_polynomial, verify_identity)
 from .lattice import (ehrhart_counts, eulerian_via_ehrhart, scan_gamma,
@@ -292,6 +292,9 @@ def cmd_dual(args):
 
 
 def cmd_kn_roots(args):
+    if args.samples < 0 or args.max_num < 0 or args.max_den < 1:
+        raise InvalidInputError("--samples and --max-num must be nonnegative "
+                                "and --max-den positive")
     rng = random.Random(args.seed)
     failures = []
     polys = []

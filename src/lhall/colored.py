@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import prod
+from math import factorial, lcm, prod
 
 from .errors import InvalidInputError, ResourceLimitError
 from .polys import Polynomial
-from .posets import _cap, count_linear_extensions, linear_extensions, validate_smap
+from .posets import (_cap, _check_dp, _cover_masks, count_linear_extensions,
+                     linear_extensions, validate_smap)
 
 DEFAULT_COLORED_CAP = 5_000_000
 
@@ -101,24 +101,21 @@ def descent_profile(tau, s):
                           frozenset(d4), frozenset(d))
 
 
-def _precheck(P, s, max_count):
-    limit = _cap(max_count, "LHALL_MAX_COLORED", DEFAULT_COLORED_CAP)
-    total = count_linear_extensions(P) * prod(s)
-    if total > limit:
-        raise ResourceLimitError(
-            f"{total} colored extensions exceed the cap {limit}")
-    return total
-
-
 def colored_extensions(P, s, max_count=None):
     """Yield the colored linear extensions of (P, s) in canonical order.
 
     Order: pi lexicographically, then the color vector (r(1), ..., r(p))
-    lexicographically.  The total count is checked against a cap before any
-    work starts (LHALL_MAX_COLORED, default DEFAULT_COLORED_CAP).
+    lexicographically.  The number of extensions to be yielded is checked
+    against a cap before any work starts (max_count, else the
+    LHALL_MAX_COLORED environment variable, else DEFAULT_COLORED_CAP).
     """
     s = validate_smap(P, s)
-    _precheck(P, s, max_count)
+    limit = _cap(max_count, "LHALL_MAX_COLORED", DEFAULT_COLORED_CAP)
+    total = count_linear_extensions(P) * prod(s)
+    if total > limit:
+        raise ResourceLimitError(
+            f"{total} colored extensions exceed the cap {limit}; "
+            "raise LHALL_MAX_COLORED")
     ranges = [range(v) for v in s]
     for pi in linear_extensions(P):
         for colors in itertools.product(*ranges):
@@ -154,68 +151,124 @@ def flag_major_index(tau, s):
     return sum(tau.colors) + s[0] * comaj
 
 
-def _descent_histogram(pi, s, hist):
-    """Add the |D| distribution over all colorings of a fixed pi to hist."""
-    p = len(pi)
-    if p == 0:
-        hist[0] += 1
-        return
-    spos = [s[x - 1] for x in pi]
-    ties = [pi[i] > pi[i + 1] for i in range(p - 1)]
-    for rpos in itertools.product(*[range(v) for v in spos]):
-        d = 0
-        for i in range(p - 1):
-            lhs = rpos[i] * spos[i + 1]
-            rhs = rpos[i + 1] * spos[i]
-            if lhs > rhs or (ties[i] and lhs == rhs):
-                d += 1
-        if rpos[-1]:
-            d += 1
-        hist[d] += 1
+def _pairs_by_ratio(s, shift):
+    """Pairs (k, x) with shift <= k < s(x) + shift, ordered by (k/s(x), x).
 
-
-def eulerian_polynomial(P, s, max_count=None):
-    """Generating polynomial of the descent number over colored extensions."""
-    s = validate_smap(P, s)
-    _precheck(P, s, max_count)
-    hist = [0] * (P.p + 2)
-    for pi in linear_extensions(P):
-        _descent_histogram(pi, s, hist)
-    return Polynomial(tuple(hist))
+    The ratios are compared as integers k * (L / s(x)) with L = lcm(s).
+    """
+    scale = lcm(*s)
+    pairs = [(k, x) for x, v in enumerate(s, 1) for k in range(shift, v + shift)]
+    pairs.sort(key=lambda g: (g[0] * (scale // s[g[1] - 1]), g[1]))
+    return pairs
 
 
 def x_order(P, s):
     """All pairs (k, x) with 0 <= k < s(x), ordered by (k/s(x), x)."""
+    return tuple(_pairs_by_ratio(validate_smap(P, s), 0))
+
+
+def _word_table(P, need, pairs, bits):
+    """Weights of the words that place every element of P, by last pair.
+
+    A word lists each element once, each with one of its pairs; x may come
+    only after every element of the bitmask need[x].  pairs[x] holds a
+    (rank, first) entry per color of x, where first is the weight of the
+    word when that pair opens it.  Every later step to a lower rank
+    multiplies the weight by t.  Weights are polynomials in t packed into
+    one integer, `bits` bits per coefficient, so t is a shift.  The DP runs
+    one layer of placed down-sets at a time: a row holds the weight per rank
+    of the last pair, and its prefix sums split the weight of a new pair
+    into the part from lower ranks (no step down) and the rest (times t).
+    """
+    size = sum(len(v) for v in pairs)
+    layer = {}
+    for x in P.elements:
+        if not need[x]:
+            row = layer.setdefault(1 << (x - 1), [0] * size)
+            for j, first in pairs[x]:
+                row[j] += first
+    for _ in range(P.p - 1):
+        nxt = {}
+        for S, row in layer.items():
+            lower = list(itertools.accumulate(row, initial=0))
+            total = lower[-1]
+            for x in P.elements:
+                bit = 1 << (x - 1)
+                if S & bit or need[x] & ~S:
+                    continue
+                T = S | bit
+                target = nxt.get(T)
+                if target is None:
+                    target = nxt[T] = [0] * size
+                for j, _ in pairs[x]:
+                    lo = lower[j]
+                    target[j] += lo + ((total - lo) << bits)
+        layer = nxt
+    (row,) = layer.values()
+    return row
+
+
+def _coefficient_bits(P, s):
+    """Bits that hold any coefficient: none exceeds p! * prod(s)."""
+    return (factorial(P.p) * prod(s)).bit_length()
+
+
+def _unpack(packed, bits):
+    mask = (1 << bits) - 1
+    coeffs = []
+    while packed:
+        coeffs.append(packed & mask)
+        packed >>= bits
+    return Polynomial(tuple(coeffs))
+
+
+def eulerian_polynomial(P, s, max_steps=None):
+    """Generating polynomial of the descent number over colored extensions.
+
+    A forward DP over (placed down-set, x_order rank of the last (color,
+    element) pair): a step adds a descent exactly when the rank falls, and a
+    positive last color adds the descent at p.  This is the transfer of
+    Stanley's fundamental lemma of P-partitions (EC1 3.15); on chains and
+    antichains it is the s-Eulerian recurrence of Savage and Visontai
+    (Trans. AMS 2015).  The DP is refused up front when 2^p * sum(s)
+    exceeds max_steps (else LHALL_MAX_DP, default DEFAULT_DP_CAP).
+    """
     s = validate_smap(P, s)
-    pairs = [(k, x) for x in P.elements for k in range(s[x - 1])]
-    pairs.sort(key=lambda g: (Fraction(g[0], s[g[1] - 1]), g[1]))
-    return tuple(pairs)
+    _check_dp(P, sum(s), max_steps)
+    if not P.p:
+        return Polynomial((1,))
+    order = _pairs_by_ratio(s, 0)
+    bits = _coefficient_bits(P, s)
+    pairs = [[] for _ in range(P.p + 1)]
+    for j, (k, x) in enumerate(order):
+        pairs[x].append((j, 1))
+    row = _word_table(P, _cover_masks(P)[0], pairs, bits)
+    return _unpack(sum(w << bits if order[j][0] else w
+                       for j, w in enumerate(row)), bits)
 
 
-def refined_eulerian(P, s, max_count=None):
+def refined_eulerian(P, s, max_steps=None):
     """Split the Eulerian polynomial by gamma = (r(pi_1), pi_1).
 
     Returns a dict keyed by every gamma in x_order(P, s); values sum to
     eulerian_polynomial(P, s).  Keys whose element is never first in a linear
-    extension carry the zero polynomial.
+    extension carry the zero polynomial.  The family comes from the DP of
+    eulerian_polynomial run backward, as a suffix table: words are built
+    from the last letter to the first, an element after all its upper
+    covers, with the ranks reversed so that a descent is again a step to a
+    lower rank.  The descent at p is charged when a positive color opens
+    the reversed word, and the pair placed last, which is gamma, keys the
+    table.  Capped like eulerian_polynomial.
     """
     s = validate_smap(P, s)
-    _precheck(P, s, max_count)
-    p = P.p
-    if p == 0:
+    _check_dp(P, sum(s), max_steps)
+    if not P.p:
         return {}
-    buckets = {g: [0] * (p + 2) for g in x_order(P, s)}
-    for pi in linear_extensions(P):
-        spos = [s[x - 1] for x in pi]
-        ties = [pi[i] > pi[i + 1] for i in range(p - 1)]
-        for rpos in itertools.product(*[range(v) for v in spos]):
-            d = 0
-            for i in range(p - 1):
-                lhs = rpos[i] * spos[i + 1]
-                rhs = rpos[i + 1] * spos[i]
-                if lhs > rhs or (ties[i] and lhs == rhs):
-                    d += 1
-            if rpos[-1]:
-                d += 1
-            buckets[(rpos[0], pi[0])][d] += 1
-    return {g: Polynomial(tuple(h)) for g, h in buckets.items()}
+    order = _pairs_by_ratio(s, 0)
+    bits = _coefficient_bits(P, s)
+    top = len(order) - 1
+    pairs = [[] for _ in range(P.p + 1)]
+    for j, (k, x) in enumerate(order):
+        pairs[x].append((top - j, 1 << bits if k else 1))
+    row = _word_table(P, _cover_masks(P)[1], pairs, bits)
+    return {g: _unpack(row[top - j], bits) for j, g in enumerate(order)}

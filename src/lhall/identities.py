@@ -559,7 +559,7 @@ def _verify_RECIPR(P, s, capx, capt, max_points, max_count):
     if tuple(s) != tuple(v + 1 for v in info.rho):
         return VerificationReport(
             "RECIPR", "skip", reason="stated for s = rank + 1")
-    return verify_recipr(P, max_points)
+    return verify_recipr(P)
 
 
 _DISPATCH = {

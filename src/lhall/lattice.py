@@ -9,13 +9,14 @@ saturated chain witnessing x < y in labels some cover must descend.
 
 from __future__ import annotations
 
-from .colored import eulerian_polynomial, refined_eulerian, x_order
+from .colored import (_pairs_by_ratio, eulerian_polynomial, refined_eulerian,
+                      x_order)
 from .errors import InvalidInputError, ResourceLimitError
 from .polys import (Polynomial, compose_linear, gamma_vector, hstar_from_counts,
                     interpolate, is_palindromic)
-from .posets import (LabeledPoset, _bits, _cap, disjoint_union,
-                     linear_extensions, make_chain, ordinal_sum_of_antichains,
-                     sign_rank, validate_smap)
+from .posets import (LabeledPoset, _bits, _cap, _check_dp, _cover_masks,
+                     disjoint_union, linear_extensions, make_chain,
+                     ordinal_sum_of_antichains, sign_rank, validate_smap)
 from .reports import VerificationReport
 from .roots import interlacing_failure, is_real_rooted
 
@@ -146,66 +147,64 @@ def qr_decompose(f, s, primed=False):
     return tuple(qs), tuple(rs)
 
 
-def ehrhart_counts(P, s, nmax, max_points=None):
+def ehrhart_counts(P, s, nmax, max_steps=None):
     """[number of points with f(x) <= n s(x) for all x] for n = 0, ..., nmax.
 
-    One depth-first pass in topological order: every constraint from an
-    already assigned element is then a lower bound, the prefix knows the
-    least n it fits under, and the final element contributes a closed-form
-    value count per n instead of being enumerated.
+    A point orders its (ratio, label) pairs (f(x)/s(x), x), and it lies in
+    the region exactly when every cover u -< x has u's pair before x's
+    (Stanley's fundamental lemma of P-partitions, EC1 3.15, which is the
+    cone decomposition).  So the points are counted by a sweep over the
+    down-set of elements whose pair is already passed, starting from the
+    empty set: at value 0 every element is tried in label order, then each
+    unit (n-1, n] tries the pairs (k, x) with 1 <= k <= s(x) in the order
+    (k/s(x), x).  A try adds x when x is missing and its lower covers are
+    in, and counts[n] is the weight on the full set after unit n.  The sweep
+    is refused up front when 2^p * (p + nmax * sum(s)) exceeds max_steps
+    (else LHALL_MAX_DP, default DEFAULT_DP_CAP).
     """
     s = validate_smap(P, s)
     if nmax < 0:
         raise InvalidInputError("nmax must be nonnegative")
-    p = P.p
-    counts = [0] * (nmax + 1)
-    if p == 0:
-        return [1] * (nmax + 1)
-    limit = _cap(max_points, "LHALL_MAX_POINTS", DEFAULT_MAX_POINTS)
-    order = P._topo
-    pos = {x: i for i, x in enumerate(order)}
-    lower_srcs = [[] for _ in range(p)]
-    for u, v in P.covers:
-        lower_srcs[pos[v]].append((u, u < v))  # weak when labels ascend
-    f = [0] * (p + 1)
-    visited = 0
+    _check_dp(P, P.p + nmax * sum(s), max_steps)
+    lower, _ = _cover_masks(P)
+    index = {0: 0}
+    downsets = [0]
+    moves = [[] for _ in range(P.p + 1)]  # (from, to) down-set indices per x
+    for S in downsets:
+        for x in P.elements:
+            bit = 1 << (x - 1)
+            if not S & bit and not lower[x] & ~S:
+                T = S | bit
+                if T not in index:
+                    index[T] = len(downsets)
+                    downsets.append(T)
+                moves[x].append((index[S], index[T]))
+    weight = [0] * len(downsets)
+    weight[0] = 1
 
-    def rec(i, m_pref):
-        nonlocal visited
-        visited += 1
-        if visited > limit:
-            raise ResourceLimitError(
-                f"more than {limit} enumeration nodes; raise LHALL_MAX_POINTS")
-        x = order[i]
-        sx = s[x - 1]
-        a = 0
-        for u, weak in lower_srcs[i]:
-            v = _ceil_div(f[u] * sx, s[u - 1]) if weak else f[u] * sx // s[u - 1] + 1
-            if v > a:
-                a = v
-        if i == p - 1:
-            for n in range(max(m_pref, _ceil_div(a, sx)), nmax + 1):
-                counts[n] += n * sx - a + 1
-            return
-        for val in range(a, nmax * sx + 1):
-            m2 = max(m_pref, _ceil_div(val, sx))
-            if m2 > nmax:
-                break
-            f[x] = val
-            rec(i + 1, m2)
+    def sweep(xs):
+        for x in xs:
+            for a, b in moves[x]:
+                weight[b] += weight[a]
 
-    rec(0, 0)
+    unit = [x for _, x in _pairs_by_ratio(s, 1)]
+    full = index[(1 << P.p) - 1]
+    sweep(P.elements)
+    counts = [weight[full]]
+    for _ in range(nmax):
+        sweep(unit)
+        counts.append(weight[full])
     return counts
 
 
-def eulerian_via_ehrhart(P, s, max_points=None):
+def eulerian_via_ehrhart(P, s, max_steps=None):
     """Eulerian polynomial recovered from lattice point counts alone.
 
     Counts for n = 0, ..., p + 2 leave two spare values beyond what the
     numerator needs, so a non-polynomial count sequence cannot slip through.
     """
     s = validate_smap(P, s)
-    counts = ehrhart_counts(P, s, P.p + 2, max_points)
+    counts = ehrhart_counts(P, s, P.p + 2, max_steps)
     return hstar_from_counts(counts, P.p)
 
 
@@ -305,14 +304,14 @@ def verify_cone_decomposition(P, s, bound, max_points=None):
                               details={"extensions": extensions})
 
 
-def verify_disjoint_union_product(P, sP, Q, sQ, nmax, max_points=None):
+def verify_disjoint_union_product(P, sP, Q, sQ, nmax, max_steps=None):
     """Counts of a disjoint union must be the product of the factors' counts."""
     sP = validate_smap(P, sP)
     sQ = validate_smap(Q, sQ)
     R = disjoint_union(P, Q)
-    a = ehrhart_counts(P, sP, nmax, max_points)
-    b = ehrhart_counts(Q, sQ, nmax, max_points)
-    c = ehrhart_counts(R, sP + sQ, nmax, max_points)
+    a = ehrhart_counts(P, sP, nmax, max_steps)
+    b = ehrhart_counts(Q, sQ, nmax, max_steps)
+    c = ehrhart_counts(R, sP + sQ, nmax, max_steps)
     for n in range(nmax + 1):
         if a[n] * b[n] != c[n]:
             return VerificationReport(
@@ -323,7 +322,7 @@ def verify_disjoint_union_product(P, sP, Q, sQ, nmax, max_points=None):
                               compared=nmax + 1)
 
 
-def verify_recipr(P, max_points=None):
+def verify_recipr(P, max_steps=None):
     """Palindromicity and the Ehrhart functional equation in the rank regime.
 
     Needs P sign-ranked with nonnegative rank function; s = rho + 1.  Checks
@@ -338,12 +337,12 @@ def verify_recipr(P, max_points=None):
             reason="needs a sign-ranked poset with nonnegative rank function")
     s = tuple(v + 1 for v in info.rho)
     p = P.p
-    A = eulerian_polynomial(P, s)
+    A = eulerian_polynomial(P, s, max_steps)
     if not is_palindromic(A, p - 1):
         return VerificationReport(
             "RECIPR", "fail", witness={"eulerian": list(A.coeffs)},
             reason=f"Eulerian polynomial is not palindromic with center {p - 1}")
-    counts = ehrhart_counts(P, s, p + 2, max_points)
+    counts = ehrhart_counts(P, s, p + 2, max_steps)
     poly = interpolate(list(enumerate(counts[:p + 1])))
     for n in (p + 1, p + 2):
         if poly(n) != counts[n]:
@@ -362,7 +361,7 @@ def verify_recipr(P, max_points=None):
                               details={"eulerian": A, "counts": counts})
 
 
-def verify_ordinal_interlacing(sizes, block_s, max_count=None):
+def verify_ordinal_interlacing(sizes, block_s, max_steps=None):
     """Interlacing of the refined Eulerian family over stacked antichains.
 
     sizes lists the antichain block sizes bottom to top, block_s one color
@@ -381,7 +380,7 @@ def verify_ordinal_interlacing(sizes, block_s, max_count=None):
             raise InvalidInputError("color counts must be positive integers")
         s.extend([k] * size)
     s = tuple(s)
-    refined = refined_eulerian(P, s, max_count)
+    refined = refined_eulerian(P, s, max_steps)
     order = x_order(P, s)
     family = [refined[g] for g in order]
     caps = {"blocks": list(sizes), "s": list(block_s)}
@@ -399,7 +398,7 @@ def verify_ordinal_interlacing(sizes, block_s, max_count=None):
     total = Polynomial()
     for member in family:
         total = total + member
-    if total != eulerian_polynomial(P, s):
+    if total != eulerian_polynomial(P, s, max_steps):
         return VerificationReport(
             "ORDINAL", "fail", caps=caps,
             reason="refined family does not sum to the Eulerian polynomial")
@@ -470,7 +469,7 @@ def sign_ranked_corpus(pmax):
     return out
 
 
-def scan_gamma(pmax, max_count=None):
+def scan_gamma(pmax, max_steps=None):
     """Gamma vectors of Eulerian polynomials across the sign-ranked corpus.
 
     For every sign-ranked P with nonnegative rank function on at most pmax
@@ -488,7 +487,7 @@ def scan_gamma(pmax, max_count=None):
     conjecture_failures = []
     for P, rho in sign_ranked_corpus(pmax):
         s = tuple(v + 1 for v in rho)
-        A = eulerian_polynomial(P, s, max_count)
+        A = eulerian_polynomial(P, s, max_steps)
         proven = set(rho) <= {0, 1}
         palindromic = is_palindromic(A, P.p - 1)
         gam = gamma_vector(A, P.p - 1) if palindromic else None

@@ -180,15 +180,16 @@ def hstar_from_counts(counts, p):
     the numerator beyond degree p must vanish; a nonzero one means the counts
     do not come from a degree-p polynomial and NotPolynomialError is raised.
     """
-    cs = [_to_fraction(c) for c in counts]
+    # integer counts stay ints, which is exact and far cheaper than Fraction
+    cs = [c if isinstance(c, int) else _to_fraction(c) for c in counts]
     m = len(cs) - 1
     if m < p:
         raise InvalidInputError(f"need counts up to n = {p}, got {m}")
+    signed = [(-1) ** j * comb(p + 1, j) for j in range(p + 2)]
     out = []
     for k in range(m + 1):
-        a = sum((-1) ** j * comb(p + 1, j) * cs[k - j]
-                for j in range(min(k, p + 1) + 1))
-        out.append(a)
+        out.append(sum(signed[j] * cs[k - j]
+                       for j in range(min(k, p + 1) + 1)))
     for k in range(p + 1, m + 1):
         if out[k] != 0:
             raise NotPolynomialError(

@@ -15,6 +15,7 @@ from .errors import InvalidInputError, ResourceLimitError
 
 DEFAULT_EXTENSION_CAP = 10
 DEFAULT_COUNT_CAP = 16
+DEFAULT_DP_CAP = 4_000_000
 
 
 def epsilon(x: int, y: int) -> int:
@@ -242,7 +243,37 @@ def _cap(value, env, default):
     if value is not None:
         return value
     raw = os.environ.get(env)
-    return int(raw) if raw else default
+    if not raw:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise InvalidInputError(f"{env}={raw!r} is not an integer") from None
+
+
+def _check_dp(P, steps, max_steps):
+    """Refuse a down-set DP before it starts when it would be too large.
+
+    The estimate is 2^p down-sets times the number of sweep steps, a bound
+    on the transitions the DP makes; the cap is max_steps, else the
+    LHALL_MAX_DP environment variable, else DEFAULT_DP_CAP.
+    """
+    limit = _cap(max_steps, "LHALL_MAX_DP", DEFAULT_DP_CAP)
+    estimate = (1 << P.p) * steps
+    if estimate > limit:
+        raise ResourceLimitError(
+            f"down-set DP of about {estimate} transitions (2^{P.p} down-sets x "
+            f"{steps} steps) exceeds the cap {limit}; raise LHALL_MAX_DP")
+
+
+def _cover_masks(P):
+    """Bitmasks of the lower and of the upper covers of each element."""
+    lower = [0] * (P.p + 1)
+    upper = [0] * (P.p + 1)
+    for x, y in P.covers:
+        lower[y] |= 1 << (x - 1)
+        upper[x] |= 1 << (y - 1)
+    return lower, upper
 
 
 def linear_extensions(P, max_p=None):
@@ -364,6 +395,10 @@ def poset_from_document(doc):
         covers = doc["covers"]
     except (KeyError, TypeError):
         raise InvalidInputError("poset document needs 'p' and 'covers'") from None
+    if not isinstance(covers, (list, tuple)) or not all(
+            isinstance(c, (list, tuple)) and len(c) == 2
+            and all(isinstance(v, int) for v in c) for c in covers):
+        raise InvalidInputError("'covers' must be a list of [x, y] integer pairs")
     return LabeledPoset(p, frozenset(tuple(c) for c in covers))
 
 

@@ -3,8 +3,9 @@
 Everything here favors obviousness over speed: boxes are enumerated in full
 and filtered with Fraction comparisons over every strict relation of the
 order (not just the covers), descent sets are recomputed with exact
-division, and classical Eulerian numbers come from counting descents of
-uncolored permutations.
+division, Eulerian polynomials come from walking every colored extension,
+level counts from a depth-first walk over the points, and classical
+Eulerian numbers from counting descents of uncolored permutations.
 """
 
 from fractions import Fraction
@@ -12,7 +13,7 @@ from itertools import permutations, product
 
 from hypothesis import strategies as st
 
-from lhall import from_relations
+from lhall import from_relations, linear_extensions
 
 
 def strict_pairs(P):
@@ -63,6 +64,88 @@ def descent_sets_frac(pi, colors, s):
     return d1, d2, d3, d2 | last, d1 | last
 
 
+def _descent_number(pi, spos, rpos):
+    """|D| of the colored word pi whose i-th letter has color rpos[i]."""
+    p = len(pi)
+    d = 0
+    for i in range(p - 1):
+        lhs = rpos[i] * spos[i + 1]
+        rhs = rpos[i + 1] * spos[i]
+        if lhs > rhs or (pi[i] > pi[i + 1] and lhs == rhs):
+            d += 1
+    return d + (1 if p and rpos[-1] else 0)
+
+
+def _colored_words(P, s):
+    """(pi, colors by position, |D|) over every colored extension of (P, s)."""
+    for pi in linear_extensions(P):
+        spos = [s[x - 1] for x in pi]
+        for rpos in product(*[range(v) for v in spos]):
+            yield pi, rpos, _descent_number(pi, spos, rpos)
+
+
+def eulerian_by_extensions(P, s):
+    """Descent-number coefficients, one colored extension at a time."""
+    hist = [0] * (P.p + 1)
+    for _, _, d in _colored_words(P, s):
+        hist[d] += 1
+    return hist
+
+
+def refined_by_extensions(P, s, order):
+    """Descent-number coefficients split by the first pair (r(pi_1), pi_1)."""
+    buckets = {g: [0] * (P.p + 1) for g in order}
+    for pi, rpos, d in _colored_words(P, s):
+        if pi:
+            buckets[(rpos[0], pi[0])][d] += 1
+    return buckets
+
+
+def _ceil_div(a, b):
+    return -((-a) // b)
+
+
+def ehrhart_by_walk(P, s, nmax):
+    """Level counts from a depth-first walk over the points.
+
+    Elements are assigned in topological order, so every cover constraint
+    from an assigned element is a lower bound; the prefix carries the least
+    level it fits under, and the last element adds a closed-form count per
+    level.
+    """
+    p = P.p
+    if p == 0:
+        return [1] * (nmax + 1)
+    counts = [0] * (nmax + 1)
+    order = P._topo
+    pos = {x: i for i, x in enumerate(order)}
+    lower_srcs = [[] for _ in range(p)]
+    for u, v in P.covers:
+        lower_srcs[pos[v]].append((u, u < v))  # weak when labels ascend
+    f = [0] * (p + 1)
+
+    def rec(i, m_pref):
+        x = order[i]
+        sx = s[x - 1]
+        a = 0
+        for u, weak in lower_srcs[i]:
+            v = _ceil_div(f[u] * sx, s[u - 1]) if weak else f[u] * sx // s[u - 1] + 1
+            a = max(a, v)
+        if i == p - 1:
+            for n in range(max(m_pref, _ceil_div(a, sx)), nmax + 1):
+                counts[n] += n * sx - a + 1
+            return
+        for val in range(a, nmax * sx + 1):
+            m2 = max(m_pref, _ceil_div(val, sx))
+            if m2 > nmax:
+                break
+            f[x] = val
+            rec(i + 1, m2)
+
+    rec(0, 0)
+    return counts
+
+
 def classical_eulerian(p):
     """Descent-count coefficients over all permutations of 1..p."""
     counts = [0] * max(p, 1)
@@ -85,6 +168,22 @@ def posets(draw, min_p=0, max_p=5):
 @st.composite
 def smaps(draw, P, max_s=3):
     return tuple(draw(st.integers(1, max_s)) for _ in range(P.p))
+
+
+@st.composite
+def smaps_within(draw, P, budget, factor=lambda v: v, max_s=4):
+    """Color counts up to max_s with prod factor(s(x)) kept near budget.
+
+    Each value is drawn no larger than what the budget left still admits
+    (but at least 1), so the slow oracles stay affordable on larger posets.
+    """
+    s = []
+    for _ in range(P.p):
+        top = max([1] + [v for v in range(1, max_s + 1) if factor(v) <= budget])
+        v = draw(st.integers(1, top))
+        budget //= factor(v)
+        s.append(v)
+    return tuple(s)
 
 
 @st.composite

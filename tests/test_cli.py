@@ -1,6 +1,10 @@
 """End-to-end runs of the command line front end via cli.main."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,23 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def run_process(*argv, env=None):
+    """Run the CLI in a fresh interpreter, so a crash shows as a traceback."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    full = dict(os.environ, **(env or {}))
+    full["PYTHONPATH"] = os.pathsep.join(
+        v for v in (src, full.get("PYTHONPATH")) if v)
+    proc = subprocess.run([sys.executable, "-m", "lhall.cli", *argv],
+                          capture_output=True, text=True, env=full,
+                          timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def assert_unusable_input(code, err):
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def run_json(capsys, *argv):
@@ -87,6 +108,42 @@ def test_poset_from_file(capsys, tmp_path):
                            "--s", "1,2")
     assert code == 0
     assert lines[0]["eulerian"] == [1, 1]
+
+
+def test_ehrhart_beyond_the_old_point_cap(capsys):
+    code, lines = run_json(capsys, "ehrhart", "--poset", "antichain:5",
+                           "--s", "const:9", "--nmax", "40")
+    assert code == 0
+    assert lines[0]["counts"][40] == 361 ** 5
+
+
+def test_covers_that_are_not_pairs_exit_2(capsys):
+    code, out, err = run_process("dual", "--poset",
+                                 'json:{"p":2,"covers":5}')
+    assert_unusable_input(code, err)
+    for doc in ('[1]', '{"p":2,"covers":[1]}', '{"p":2,"covers":[[[1],[2]]]}'):
+        code, out, err = run(capsys, "dual", "--poset", "json:" + doc)
+        assert_unusable_input(code, err)
+
+
+def test_kn_roots_rejects_empty_sampling_ranges(capsys):
+    code, out, err = run_process("kn-roots", "--k", "2", "--p", "2",
+                                 "--max-den", "0")
+    assert_unusable_input(code, err)
+    code, out, err = run(capsys, "kn-roots", "--k", "2", "--p", "2",
+                         "--max-num", "-1")
+    assert_unusable_input(code, err)
+
+
+def test_cap_variable_that_is_not_an_integer(capsys, monkeypatch):
+    code, out, err = run_process("bij", "--poset", "chain:1,2,3", "--n", "3",
+                                 env={"LHALL_MAX_POINTS": "abc"})
+    assert_unusable_input(code, err)
+    assert "LHALL_MAX_POINTS" in err
+    monkeypatch.setenv("LHALL_MAX_DP", "abc")
+    code, out, err = run(capsys, "ehrhart", "--poset", "chain:1,2",
+                         "--s", "1,1", "--nmax", "2")
+    assert_unusable_input(code, err)
 
 
 def test_ehrhart_reports_quasipolynomial_consistency(capsys):
@@ -234,6 +291,11 @@ def test_text_and_tsv_formats(capsys):
 
 
 def test_console_script_is_wired():
+    # read the declaration itself: the source tree carries no built metadata
     import importlib.metadata
-    eps = importlib.metadata.entry_points(group="console_scripts")
-    assert any(ep.name == "lhall" for ep in eps)
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(cli.__file__).resolve().parents[2]
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    ep = importlib.metadata.EntryPoint("lhall", project["scripts"]["lhall"],
+                                       "console_scripts")
+    assert ep.load() is cli.main

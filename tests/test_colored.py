@@ -1,14 +1,21 @@
 """Colored linear extensions, descent sets and their statistics."""
 
+from math import factorial
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from lhall import (ColoredPermutation, InvalidInputError, Polynomial,
                    ResourceLimitError, colored_extensions,
                    count_linear_extensions, descent_profile,
                    eulerian_polynomial, flag_major_index, make_antichain,
                    make_chain, refined_eulerian, statistics, x_order)
-from oracles import classical_eulerian, colored_perms, descent_sets_frac
+from oracles import (classical_eulerian, colored_perms, descent_sets_frac,
+                     eulerian_by_extensions, posets, refined_by_extensions,
+                     smaps_within)
+
+# colored extensions the brute-force oracles may walk per example
+ORACLE_BUDGET = 6_000
 
 
 def test_colored_permutation_validation():
@@ -89,8 +96,44 @@ def test_colored_extensions_count_and_determinism():
 
 
 def test_colored_extensions_cap():
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="LHALL_MAX_COLORED"):
         list(colored_extensions(make_antichain(10), (5,) * 10))
+
+
+def test_eulerian_dp_cap():
+    P, s = make_antichain(4), (2, 2, 2, 2)
+    # 2^4 down-sets x sum(s) = 8 steps: 128 transitions
+    for fn in (eulerian_polynomial, refined_eulerian):
+        with pytest.raises(ResourceLimitError, match="128.*LHALL_MAX_DP"):
+            fn(P, s, max_steps=127)
+        assert fn(P, s, max_steps=128)
+
+
+def test_eulerian_polynomial_beyond_the_old_extension_cap():
+    # 8! * 3^8 = 2.6e8 colored extensions, above LHALL_MAX_COLORED's default
+    A = eulerian_polynomial(make_antichain(8), (3,) * 8)
+    assert A(1) == factorial(8) * 3 ** 8
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_eulerian_polynomial_matches_extension_walk(data):
+    P = data.draw(posets(max_p=6))
+    s = data.draw(smaps_within(P, ORACLE_BUDGET // count_linear_extensions(P)))
+    assert eulerian_polynomial(P, s) == Polynomial(
+        tuple(eulerian_by_extensions(P, s)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_refined_eulerian_matches_extension_walk(data):
+    P = data.draw(posets(max_p=6))
+    s = data.draw(smaps_within(P, ORACLE_BUDGET // count_linear_extensions(P)))
+    order = x_order(P, s)
+    expected = refined_by_extensions(P, s, order)
+    refined = refined_eulerian(P, s)
+    assert list(refined) == list(order)
+    assert refined == {g: Polynomial(tuple(h)) for g, h in expected.items()}
 
 
 def test_eulerian_polynomial_frozen_values():

@@ -16,7 +16,8 @@ from lhall import (InvalidInputError, LabeledPoset, Polynomial,
                    verify_cone_decomposition, verify_disjoint_union_product,
                    verify_ordinal_interlacing, verify_recipr)
 from lhall.corpus import CORPUS, corpus_get
-from oracles import box_points, is_point_frac, posets, region_points, smaps
+from oracles import (box_points, ehrhart_by_walk, is_point_frac, posets,
+                     region_points, smaps, smaps_within)
 
 
 def test_enumerate_points_frozen_cases():
@@ -154,8 +155,51 @@ def test_resource_caps():
     with pytest.raises(ResourceLimitError):
         list(enumerate_points(make_antichain(2), (1, 1), (0, 0), (9, 9),
                               max_points=5))
-    with pytest.raises(ResourceLimitError):
-        ehrhart_counts(make_antichain(3), (3, 3, 3), 6, max_points=10)
+    # 2^3 down-sets x (3 + 6 * 9) sweep steps = 456 transitions
+    with pytest.raises(ResourceLimitError, match="456.*LHALL_MAX_DP"):
+        ehrhart_counts(make_antichain(3), (3, 3, 3), 6, max_steps=455)
+    assert ehrhart_counts(make_antichain(3), (3, 3, 3), 6,
+                          max_steps=456)[6] == 19 ** 3
+
+
+def test_caps_have_one_meaning_each(monkeypatch):
+    # LHALL_MAX_POINTS caps points yielded; the level counts yield none
+    P, s = make_antichain(3), (2, 2, 2)
+    monkeypatch.setenv("LHALL_MAX_POINTS", "100")
+    with pytest.raises(ResourceLimitError, match="LHALL_MAX_POINTS"):
+        list(partitions_leq(P, s, 2))
+    assert ehrhart_counts(P, s, 2)[2] == 125
+    monkeypatch.setenv("LHALL_MAX_DP", "50")
+    with pytest.raises(ResourceLimitError, match="LHALL_MAX_DP"):
+        ehrhart_counts(P, s, 2)
+    monkeypatch.setenv("LHALL_MAX_DP", "abc")
+    with pytest.raises(InvalidInputError, match="LHALL_MAX_DP"):
+        ehrhart_counts(P, s, 2)
+
+
+def test_ehrhart_counts_beyond_the_old_point_cap():
+    # 361^5 > 6e12 points at n = 40: counted, never enumerated
+    counts = ehrhart_counts(make_antichain(5), (9,) * 5, 40)
+    assert counts == [(1 + 9 * n) ** 5 for n in range(41)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_ehrhart_counts_match_point_walk(data):
+    P = data.draw(posets(max_p=6))
+    nmax = data.draw(st.integers(0, 3))
+    s = data.draw(smaps_within(P, 20_000, factor=lambda v: nmax * v + 1))
+    assert ehrhart_counts(P, s, nmax) == ehrhart_by_walk(P, s, nmax)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ehrhart_counts_match_fraction_filter(data):
+    P = data.draw(posets(max_p=6))
+    nmax = data.draw(st.integers(0, 3))
+    s = data.draw(smaps_within(P, 1_500, factor=lambda v: nmax * v + 1))
+    assert ehrhart_counts(P, s, nmax) == [len(region_points(P, s, n))
+                                          for n in range(nmax + 1)]
 
 
 def test_bijection_hand_case():
