@@ -14,10 +14,8 @@ from .colored import (ColoredPermutation, DescentProfile, colored_extensions,
 from .corpus import CORPUS, corpus_get, corpus_names
 from .errors import (InternalCheckError, InvalidInputError, LhallError,
                      NotPolynomialError, ResourceLimitError)
-from .identities import (IDENTITY_NAMES, SUITE,
-                         carlitz_change_of_variables_invariance,
-                         kn_descent_polynomial, verify_all, verify_identity,
-                         verify_kn, verify_kn1)
+from .identities import (IDENTITY_NAMES, SUITE, kn_descent_polynomial,
+                         verify_all, verify_identity, verify_kn, verify_kn1)
 from .lattice import (all_labeled_posets, bij_eta, bij_u, cone_points,
                       ehrhart_counts, enumerate_points, eulerian_via_ehrhart,
                       is_partition_point, partitions_leq, partitions_lt,
@@ -38,6 +36,6 @@ from .posets import (LabeledPoset, RankInfo, count_linear_extensions,
 from .reports import VerificationReport, jsonable
 from .roots import (interlacing_failure, interleaves, is_interlacing_sequence,
                     is_real_rooted, isolate_real_roots, real_root_count)
-from .series import Series, SeriesContext, first_mismatch, substitute, to_records
+from .series import Series, SeriesContext, first_mismatch, to_records
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ Reports are JSON on stdout; --format text or tsv renders the same document
 as flat key/value lines.  scan-gamma streams one JSON line per poset before
 its summary line.  Exit status 0 means every requested check passed or was
 skipped as not applicable, 1 means some check failed, 2 means the input
-could not be used.
+could not be used, and 3 means the program itself failed unexpectedly.
 """
 
 from __future__ import annotations
@@ -427,6 +427,12 @@ def main(argv=None):
     except LhallError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        # a defect, not a failed check: keep it out of exit code 1
+        message = " ".join(str(e).split())
+        print(f"error: unexpected {type(e).__name__}: {message}",
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

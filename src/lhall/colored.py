@@ -230,8 +230,9 @@ def eulerian_polynomial(P, s, max_steps=None):
     positive last color adds the descent at p.  This is the transfer of
     Stanley's fundamental lemma of P-partitions (EC1 3.15); on chains and
     antichains it is the s-Eulerian recurrence of Savage and Visontai
-    (Trans. AMS 2015).  The DP is refused up front when 2^p * sum(s)
-    exceeds max_steps (else LHALL_MAX_DP, default DEFAULT_DP_CAP).
+    (Trans. AMS 2015).  The DP is refused up front when a bound on the
+    down-sets of P times sum(s) exceeds max_steps (else LHALL_MAX_DP,
+    default DEFAULT_DP_CAP).
     """
     s = validate_smap(P, s)
     _check_dp(P, sum(s), max_steps)

@@ -14,16 +14,18 @@ with M_{p+1} = 1, and the descent sets of the colored permutation.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import groupby
+from operator import getitem
 
 from .colored import colored_extensions, descent_profile, statistics
 from .errors import InvalidInputError
 from .lattice import enumerate_points, qr_decompose, verify_recipr
-from .polys import Polynomial, is_palindromic, monomial
+from .polys import Polynomial, monomial
 from .posets import make_antichain, sign_rank, validate_smap
 from .reports import VerificationReport
-from .series import SeriesContext, first_mismatch
+from .series import Series, SeriesContext, first_mismatch
 
 DEFAULT_CAPX = 3
 DEFAULT_CAPT = 5
@@ -69,23 +71,12 @@ def _group_by_pi(P, s, max_count):
 
 def _add_capped(series, exps, coeff=1):
     key = series.ctx.key_of(exps)
-    if series.ctx.in_cap(key):
+    if key is not None:
         series._add_term(key, coeff)
 
 
-def _xy_monomial(q, r):
-    exps = {}
-    for i, v in enumerate(q):
-        if v:
-            exps[f"x{i + 1}"] = v
-    for i, v in enumerate(r):
-        if v:
-            exps[f"y{i + 1}"] = v
-    return exps
-
-
 def _series_report(name, caps, lhs, rhs, details=None):
-    compared = len(set(lhs.terms) | set(rhs.terms))
+    compared = len(lhs.terms.keys() | rhs.terms.keys())
     mism = first_mismatch(lhs, rhs)
     if mism is None:
         return VerificationReport(name, "pass", caps=caps, compared=compared,
@@ -101,45 +92,112 @@ def _series_report(name, caps, lhs, rhs, details=None):
 # lattice point sides
 
 
-def _lhs_xy(ctx, P, s, capx, positive, primed, max_points):
-    """Sum of x^q y^r over the poset's points with quotients within capx."""
+def _tables(hi, entry):
+    """Per coordinate j, the list of entry(j, v) for v = 0, ..., hi[j]."""
+    return [[entry(j, v) for v in range(h + 1)] for j, h in enumerate(hi)]
+
+
+def _digit_keys(ctx, s, hi, primed, labels):
+    """Per coordinate j, value -> packed key of x_l^q y_l^r, l = labels[j].
+
+    (q, r) are the digits of the value against s[j]; the entry is None past
+    the x cap, or where primed digits are undefined.  Each coordinate fills
+    only its own x and y fields, so the entries of one point never carry
+    into each other and their sum is the point's key.
+    """
+    def entry(j, v):
+        if primed and v < 1:
+            return None
+        (q,), (r,) = qr_decompose((v,), (s[j],), primed)
+        return ctx.key_of({f"x{labels[j]}": q, f"y{labels[j]}": r})
+
+    return _tables(hi, entry)
+
+
+def _entry_levels(s, hi, strict):
+    """Per coordinate, value -> least level n whose region admits it."""
+    if strict:
+        return _tables(hi, lambda j, v: v // s[j] + 1)
+    return _tables(hi, lambda j, v: -(-v // s[j]))
+
+
+def _keyed_points(points, tables):
+    """(point, key) for the points whose table entries are all in cap."""
+    for f in points:
+        keys = list(map(getitem, tables, f))
+        if None not in keys:
+            yield f, sum(keys)
+
+
+def _level_graded(ctx, capt, counts):
+    """Sum over (key, m) -> c of c * key * (t^m + ... + t^capt).
+
+    A point enters the level-n region for all n at or beyond its entry
+    level m, so one enumeration of the level-capt region settles every t
+    power: points beyond that region only enter after capt and are
+    invisible here.  The keys carry no t, so adding a power of t to one
+    cannot carry.
+    """
+    powers = [ctx.key_of({"t": n}) for n in range(capt + 1)]
+    total = ctx.zero()
+    terms = total.terms
+    for (key, m), c in counts.items():
+        for power in powers[m:]:
+            k = key + power
+            terms[k] = terms.get(k, 0) + c
+    return total
+
+
+def _lhs_xy(ctx, P, s, capx, positive, primed, max_points, labels=None):
+    """Sum of x^q y^r over the poset's points with quotients within capx.
+
+    Coordinate j of a point carries the variables x_l, y_l with
+    l = labels[j], by default the element j + 1 itself.
+    """
     if primed:
         lo, hi = [1] * P.p, [(capx + 1) * v for v in s]
     elif positive:
         lo, hi = [1] * P.p, [(capx + 1) * v - 1 for v in s]
     else:
         lo, hi = [0] * P.p, [(capx + 1) * v - 1 for v in s]
-    total = ctx.zero()
-    for f in enumerate_points(P, s, lo, hi, max_points):
-        q, r = qr_decompose(f, s, primed)
-        _add_capped(total, _xy_monomial(q, r))
-    return total
+    tables = _digit_keys(ctx, s, hi, primed, labels or P.elements)
+    counts = Counter(key for _, key in _keyed_points(
+        enumerate_points(P, s, lo, hi, max_points), tables))
+    return Series(ctx, counts)
 
 
 def _lhs_xy_t(ctx, P, s, capt, positive, primed, strict, max_points):
-    """Like _lhs_xy but graded by the least n admitting each point.
-
-    A point enters the level-n region for all n at or beyond its entry level
-    m, so one enumeration of the level-capt region settles every t power:
-    points beyond that region only enter after capt and are invisible here.
-    """
+    """Like _lhs_xy but graded by the least n admitting each point."""
     lo = [1] * P.p if positive else [0] * P.p
     hi = [capt * v - 1 for v in s] if strict else [capt * v for v in s]
-    total = ctx.zero()
-    ti = ctx.index["t"]
-    for f in enumerate_points(P, s, lo, hi, max_points):
-        q, r = qr_decompose(f, s, primed)
-        if strict:
-            m = max((v // sv for v, sv in zip(f, s)), default=-1) + 1
-        else:
-            m = max((-(-v // sv) for v, sv in zip(f, s)), default=0)
-        key = list(ctx.key_of(_xy_monomial(q, r)))
-        if not ctx.in_cap(tuple(key)):
-            continue
-        for n in range(m, capt + 1):
-            key[ti] = n
-            total._add_term(tuple(key), 1)
-    return total
+    tables = _digit_keys(ctx, s, hi, primed, P.elements)
+    levels = _entry_levels(s, hi, strict)
+    points = enumerate_points(P, s, lo, hi, max_points)
+    return _level_graded(ctx, capt, Counter(
+        (key, max(map(getitem, levels, f), default=0))
+        for f, key in _keyed_points(points, tables)))
+
+
+def _level_graded_sums(ctx, P, s, capt, names, digits, max_points):
+    """Level-graded sum of the monomial of each point's digit totals.
+
+    digits(v, sv) gives one coordinate's exponents of the named variables,
+    and a point's monomial takes their totals over its coordinates.  The
+    totals are summed as plain integers and only then packed into a key.
+    """
+    hi = [capt * v for v in s]
+    tables = _tables(hi, lambda j, v: digits(v, s[j]))
+    levels = _entry_levels(s, hi, strict=False)
+    totals = Counter(
+        (tuple(map(sum, zip(*map(getitem, tables, f)))),
+         max(map(getitem, levels, f), default=0))
+        for f in enumerate_points(P, s, [0] * P.p, hi, max_points))
+    counts = Counter()
+    for (exps, m), c in totals.items():
+        key = ctx.key_of(dict(zip(names, exps)))
+        if key is not None:
+            counts[key, m] += c
+    return _level_graded(ctx, capt, counts)
 
 
 def _bracket_terms(var, n):
@@ -271,18 +329,9 @@ def _verify_RECI(P, s, capx, capt, max_points, max_count):
     mirrored element p + 1 - i.
     """
     ctx = _ctx_xy(P, s, capx)
-    p = P.p
-    dual, sd = P.dual(), tuple(reversed(s))
-    lhs = ctx.zero()
-    for g in enumerate_points(dual, sd, [1] * p,
-                              [(capx + 1) * v for v in sd], max_points):
-        qd, rd = qr_decompose(g, sd, primed=True)
-        exps = {}
-        for i in range(1, p + 1):
-            if qd[p - i]:
-                exps[f"x{i}"] = qd[p - i]
-            exps[f"y{i}"] = rd[p - i]
-        _add_capped(lhs, exps)
+    lhs = _lhs_xy(ctx, P.dual(), tuple(reversed(s)), capx, positive=True,
+                  primed=True, max_points=max_points,
+                  labels=tuple(reversed(P.elements)))
     rhs, ext = _rhs_xy(ctx, P, s, "RECI", max_count)
     return _series_report("RECI", {"x": capx}, lhs, rhs, {"extensions": ext})
 
@@ -384,18 +433,7 @@ def _verify_UQ(P, s, capx, capt, max_points, max_count):
     """
     caps = _uq_caps(P, s, capt)
     ctx = SeriesContext(caps)
-    lhs = ctx.zero()
-    ti = ctx.index["t"]
-    for f in enumerate_points(P, s, [0] * P.p, [capt * v for v in s],
-                              max_points):
-        q, r = qr_decompose(f, s)
-        m = max((-(-v // sv) for v, sv in zip(f, s)), default=0)
-        key = list(ctx.key_of({"q": sum(r), "u": sum(q)}))
-        if not ctx.in_cap(tuple(key)):
-            continue
-        for n in range(m, capt + 1):
-            key[ti] = n
-            lhs._add_term(tuple(key), 1)
+    lhs = _level_graded_sums(ctx, P, s, capt, ("u", "q"), divmod, max_points)
     denom = ctx.geometric({"t": 1})
     for i in range(1, P.p + 1):
         denom = denom * ctx.geometric({"u": i, "t": 1})
@@ -416,17 +454,8 @@ def _verify_LHP(P, s, capx, capt, max_points, max_count):
     caps = {"t": capt,
             "q": capt * total_s + sum(v - 1 for v in s) + P.p * total_s}
     ctx = SeriesContext(caps)
-    lhs = ctx.zero()
-    ti = ctx.index["t"]
-    for f in enumerate_points(P, s, [0] * P.p, [capt * v for v in s],
-                              max_points):
-        m = max((-(-v // sv) for v, sv in zip(f, s)), default=0)
-        key = list(ctx.key_of({"q": sum(f)}))
-        if not ctx.in_cap(tuple(key)):
-            continue
-        for n in range(m, capt + 1):
-            key[ti] = n
-            lhs._add_term(tuple(key), 1)
+    lhs = _level_graded_sums(ctx, P, s, capt, ("q",), lambda v, sv: (v,),
+                             max_points)
     rhs = ctx.zero()
     extensions = 0
     for pi, taus in _group_by_pi(P, s, max_count):
@@ -637,19 +666,3 @@ def kn_descent_polynomial(k, p, q_values, max_count=None):
             w *= weights[x - 1] ** tau.colors[x - 1]
         coeffs[len(prof.d)] += w
     return Polynomial(tuple(coeffs))
-
-
-def carlitz_change_of_variables_invariance(k, p, nmax):
-    """Invariance of the bracket power series under q -> 1/q, t -> t q^(kp).
-
-    The substitution fixes sum_n [kn+1]_q^p t^n exactly when every bracket
-    [kn+1]_q is palindromic about kn, which is checked here level by level.
-    """
-    for n in range(nmax + 1):
-        bracket = Polynomial((1,) * (k * n + 1))
-        if not is_palindromic(bracket, k * n):
-            return VerificationReport(
-                "CARLITZ", "fail", caps={"n": nmax},
-                witness={"n": n}, reason="bracket fails palindromicity")
-    return VerificationReport("CARLITZ", "pass", caps={"n": nmax},
-                              compared=nmax + 1)

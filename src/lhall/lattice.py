@@ -159,8 +159,9 @@ def ehrhart_counts(P, s, nmax, max_steps=None):
     unit (n-1, n] tries the pairs (k, x) with 1 <= k <= s(x) in the order
     (k/s(x), x).  A try adds x when x is missing and its lower covers are
     in, and counts[n] is the weight on the full set after unit n.  The sweep
-    is refused up front when 2^p * (p + nmax * sum(s)) exceeds max_steps
-    (else LHALL_MAX_DP, default DEFAULT_DP_CAP).
+    is refused up front when a bound on the down-sets of P times
+    (p + nmax * sum(s)) exceeds max_steps (else LHALL_MAX_DP, default
+    DEFAULT_DP_CAP).
     """
     s = validate_smap(P, s)
     if nmax < 0:
@@ -481,6 +482,8 @@ def scan_gamma(pmax, max_steps=None):
     stream the scan; a non-palindromic A always counts against the proven
     regime because the symmetry itself is a theorem here.
     """
+    if pmax < 0:
+        raise InvalidInputError("pmax must be nonnegative")
     checked = 0
     records = []
     proven_failures = []

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from math import prod
 
 from .errors import InvalidInputError, ResourceLimitError
 
@@ -254,16 +255,43 @@ def _cap(value, env, default):
 def _check_dp(P, steps, max_steps):
     """Refuse a down-set DP before it starts when it would be too large.
 
-    The estimate is 2^p down-sets times the number of sweep steps, a bound
-    on the transitions the DP makes; the cap is max_steps, else the
-    LHALL_MAX_DP environment variable, else DEFAULT_DP_CAP.
+    The estimate is a bound on the down-sets of P times the number of sweep
+    steps, a bound on the transitions the DP makes; the cap is max_steps,
+    else the LHALL_MAX_DP environment variable, else DEFAULT_DP_CAP.  The
+    bound is 2^p, and only when that is too large is it tightened to
+    _chain_bound(P), which is never larger.
     """
     limit = _cap(max_steps, "LHALL_MAX_DP", DEFAULT_DP_CAP)
-    estimate = (1 << P.p) * steps
+    if (1 << P.p) * steps <= limit:
+        return
+    downsets = _chain_bound(P)
+    estimate = downsets * steps
     if estimate > limit:
         raise ResourceLimitError(
-            f"down-set DP of about {estimate} transitions (2^{P.p} down-sets x "
-            f"{steps} steps) exceeds the cap {limit}; raise LHALL_MAX_DP")
+            f"down-set DP of about {estimate} transitions (at most {downsets} "
+            f"down-sets x {steps} steps) exceeds the cap {limit}; raise "
+            f"LHALL_MAX_DP")
+
+
+def _chain_bound(P):
+    """prod(|C| + 1) over a greedy partition of P into chains C.
+
+    A down-set meets each chain in one of its |C| + 1 initial segments, so
+    this bounds the down-sets; it is at most 2^p, with equality only when
+    every chain is a single element.  Elements join, in topological order,
+    the first chain whose top lies below them.
+    """
+    tops, sizes = [], []
+    for x in P._topo:
+        for i, top in enumerate(tops):
+            if P._above[top] >> (x - 1) & 1:
+                tops[i] = x
+                sizes[i] += 1
+                break
+        else:
+            tops.append(x)
+            sizes.append(1)
+    return prod(size + 1 for size in sizes)
 
 
 def _cover_masks(P):

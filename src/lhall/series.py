@@ -1,17 +1,30 @@
 """Truncated multivariate power series with exact coefficients.
 
 A SeriesContext fixes an ordered tuple of variable names and an inclusive
-exponent cap per variable.  A Series over that context maps exponent tuples
-to nonzero coefficients; any monomial exceeding a cap in some variable is
+exponent cap per variable.  A Series over that context maps monomials to
+nonzero coefficients; any monomial exceeding a cap in some variable is
 discarded on sight.  Since all series handled here have nonnegative
 exponents everywhere, dropped monomials can never influence the retained
 window, so two series built under the same context agree on that window
 exactly or differ at a genuine mismatch.
+
+A monomial is stored as one packed int.  Variable i owns a bit field of
+width caps[i].bit_length() + 1, the first variable in the most significant
+field, so the order of packed keys is the lexicographic order of exponent
+tuples.  An in-cap exponent never reaches the top bit of its field, which
+serves as a guard: the sum of two in-cap keys cannot carry out of any
+field, and it is in cap exactly when (key + bias) & guard == 0, where bias
+adds 2^(w-1) - 1 - cap to each field of width w.  Multiplying monomials is
+therefore adding their keys, followed by that one test.  The invariant
+callers must keep is to add two keys only when both are in cap and to test
+the sum before adding any further key: a third addend could carry a field
+past its guard bit.  Keys whose variables do not overlap never carry, so
+their sum is exact and needs no test.
 """
 
 from __future__ import annotations
 
-from .errors import InternalCheckError, InvalidInputError
+from .errors import InvalidInputError
 
 
 def _check_exact(coeff):
@@ -35,33 +48,55 @@ class SeriesContext:
         self.names = names
         self.caps = tuple(caps[n] for n in names)
         self.index = {n: i for i, n in enumerate(names)}
-        self.zero_key = (0,) * len(names)
+        shifts = []
+        bias = guard = shift = 0
+        for cap in reversed(self.caps):
+            width = cap.bit_length() + 1
+            shifts.append(shift)
+            bias |= ((1 << (width - 1)) - 1 - cap) << shift
+            guard |= 1 << (shift + width - 1)
+            shift += width
+        self._shifts = tuple(reversed(shifts))
+        self._bias = bias
+        self._guard = guard
 
     def key_of(self, exps):
-        key = [0] * len(self.names)
+        """The packed key of the monomial with these exponents, or None
+        when some exponent is over its cap."""
+        key = 0
+        over = False
         for name, e in exps.items():
-            if name not in self.index:
+            i = self.index.get(name)
+            if i is None:
                 raise InvalidInputError(f"unknown variable {name!r}")
             if not isinstance(e, int) or isinstance(e, bool):
                 raise InvalidInputError(f"exponent for {name} must be an integer")
-            key[self.index[name]] = e
-        return tuple(key)
+            if e < 0:
+                raise InvalidInputError("monomials cannot carry negative exponents")
+            if e > self.caps[i]:
+                over = True
+            key += e << self._shifts[i]
+        return None if over else key
 
-    def in_cap(self, key):
-        return all(e <= c for e, c in zip(key, self.caps))
+    def _exponents(self, key):
+        """The nonzero exponents of a packed key, as a name -> exponent dict."""
+        out = {}
+        for name, cap, shift in zip(self.names, self.caps, self._shifts):
+            e = (key >> shift) & ((2 << cap.bit_length()) - 1)
+            if e:
+                out[name] = e
+        return out
 
     def zero(self):
         return Series(self)
 
     def one(self):
-        return Series(self, {self.zero_key: 1})
+        return Series(self, {0: 1})
 
     def monomial(self, exps, coeff=1):
         """coeff times the stated monomial; silently zero when over a cap."""
         key = self.key_of(exps)
-        if any(e < 0 for e in key):
-            raise InvalidInputError("monomials cannot carry negative exponents")
-        if _check_exact(coeff) == 0 or not self.in_cap(key):
+        if _check_exact(coeff) == 0 or key is None:
             return Series(self)
         return Series(self, {key: coeff})
 
@@ -71,16 +106,17 @@ class SeriesContext:
         m must have at least one positive exponent and none negative, so the
         expansion leaves the retained window after finitely many powers.
         """
-        key = self.key_of(exps)
-        if any(e < 0 for e in key):
-            raise InvalidInputError("geometric expansion needs nonnegative exponents")
-        if not any(key):
+        step = self.key_of(exps)
+        if step == 0:
             raise InvalidInputError("geometric expansion of 1 diverges")
-        terms = {}
-        power = self.zero_key
-        while self.in_cap(power):
+        terms = {0: 1}
+        if step is None:
+            return Series(self, terms)
+        bias, guard = self._bias, self._guard
+        power = step
+        while not (power + bias) & guard:
             terms[power] = 1
-            power = tuple(a + b for a, b in zip(power, key))
+            power += step
         return Series(self, terms)
 
 
@@ -122,13 +158,14 @@ class Series:
 
     def __mul__(self, other):
         self._same_ctx(other)
-        caps = self.ctx.caps
+        bias, guard = self.ctx._bias, self.ctx._guard
         out = Series(self.ctx)
         terms = out.terms
+        second = other.terms.items()
         for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(k1, k2))
-                if all(e <= cap for e, cap in zip(key, caps)):
+            for k2, c2 in second:
+                key = k1 + k2
+                if not (key + bias) & guard:
                     new = terms.get(key, 0) + c1 * c2
                     if new:
                         terms[key] = new
@@ -136,28 +173,17 @@ class Series:
                         del terms[key]
         return out
 
-    def scale(self, coeff):
-        if _check_exact(coeff) == 0:
-            return Series(self.ctx)
-        return Series(self.ctx, {k: c * coeff for k, c in self.terms.items()})
-
     def mul_monomial(self, exps, coeff=1):
-        """Multiply by coeff * monomial; exponents may be negative.
-
-        A shift below zero would mean the series was not a power series after
-        all, which is an internal invariant violation here, not bad input.
-        """
+        """Multiply by coeff times the monomial; exponents are nonnegative."""
         delta = self.ctx.key_of(exps)
-        if coeff == 0:
-            return Series(self.ctx)
-        caps = self.ctx.caps
         out = Series(self.ctx)
+        if _check_exact(coeff) == 0 or delta is None:
+            return out
+        bias, guard = self.ctx._bias, self.ctx._guard
         for key, c in self.terms.items():
-            shifted = tuple(a + b for a, b in zip(key, delta))
-            if any(e < 0 for e in shifted):
-                raise InternalCheckError("monomial shift produced a negative exponent")
-            if all(e <= cap for e, cap in zip(shifted, caps)):
-                out._add_term(shifted, c * coeff)
+            shifted = key + delta
+            if not (shifted + bias) & guard:
+                out.terms[shifted] = c * coeff
         return out
 
     def is_zero(self):
@@ -175,52 +201,22 @@ class Series:
 
 
 def first_mismatch(a, b):
-    """Smallest exponent tuple where the two series disagree, or None.
+    """Smallest monomial, in lexicographic order of exponent tuples, where
+    the two series disagree, or None.
 
     Returns (exponents-as-dict, coefficient-in-a, coefficient-in-b).
     """
     a._same_ctx(b)
-    keys = set(a.terms) | set(b.terms)
-    for key in sorted(keys):
+    for key in sorted(a.terms.keys() | b.terms.keys()):
         ca = a.terms.get(key, 0)
         cb = b.terms.get(key, 0)
         if ca != cb:
-            names = a.ctx.names
-            exps = {names[i]: e for i, e in enumerate(key) if e}
-            return exps, ca, cb
+            return a.ctx._exponents(key), ca, cb
     return None
 
 
 def to_records(series):
     """Deterministic [(nonzero-exponent dict, coefficient)] listing."""
-    names = series.ctx.names
-    out = []
-    for key in sorted(series.terms):
-        exps = {names[i]: e for i, e in enumerate(key) if e}
-        out.append((exps, series.terms[key]))
-    return out
-
-
-def substitute(series, target_ctx, var_map):
-    """Map each variable to a monomial of another context and push terms through.
-
-    var_map sends every source variable name to an exponent dict over the
-    target context; terms leaving the target caps are dropped.
-    """
-    images = []
-    for name in series.ctx.names:
-        if name not in var_map:
-            raise InvalidInputError(f"substitute needs an image for {name!r}")
-        images.append(target_ctx.key_of(var_map[name]))
-    out = Series(target_ctx)
-    width = len(target_ctx.names)
-    for key, c in series.terms.items():
-        acc = [0] * width
-        for e, img in zip(key, images):
-            if e:
-                for i in range(width):
-                    acc[i] += e * img[i]
-        shifted = tuple(acc)
-        if target_ctx.in_cap(shifted):
-            out._add_term(shifted, c)
-    return out
+    ctx = series.ctx
+    return [(ctx._exponents(key), series.terms[key])
+            for key in sorted(series.terms)]

@@ -4,8 +4,9 @@ Everything here favors obviousness over speed: boxes are enumerated in full
 and filtered with Fraction comparisons over every strict relation of the
 order (not just the covers), descent sets are recomputed with exact
 division, Eulerian polynomials come from walking every colored extension,
-level counts from a depth-first walk over the points, and classical
-Eulerian numbers from counting descents of uncolored permutations.
+level counts from a depth-first walk over the points, classical
+Eulerian numbers from counting descents of uncolored permutations, and
+truncated series arithmetic on exponent tuples.
 """
 
 from fractions import Fraction
@@ -153,6 +154,40 @@ def classical_eulerian(p):
         counts[sum(1 for i in range(p - 1) if pi[i] > pi[i + 1])] += 1
     return counts
 
+
+
+def _in_caps(key, caps):
+    return all(e <= c for e, c in zip(key, caps))
+
+
+def series_mul(a, b, caps):
+    """Product of two {exponent tuple: coefficient} series, cut at caps."""
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(k1, k2))
+            if _in_caps(key, caps):
+                out[key] = out.get(key, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def series_geometric(step, caps):
+    """1 + m + m^2 + ... for the exponent tuple m, out to the caps."""
+    terms = {}
+    power = (0,) * len(caps)
+    while _in_caps(power, caps):
+        terms[power] = 1
+        power = tuple(a + b for a, b in zip(power, step))
+    return terms
+
+
+def series_first_mismatch(a, b):
+    """(exponent tuple, coefficient in a, in b) at the smallest tuple where
+    the two series differ, or None."""
+    for key in sorted(set(a) | set(b)):
+        if a.get(key, 0) != b.get(key, 0):
+            return key, a.get(key, 0), b.get(key, 0)
+    return None
 
 @st.composite
 def posets(draw, min_p=0, max_p=5):

@@ -1,5 +1,7 @@
 """End-to-end runs of the command line front end via cli.main."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lhall import cli
 
@@ -299,3 +302,98 @@ def test_console_script_is_wired():
     ep = importlib.metadata.EntryPoint("lhall", project["scripts"]["lhall"],
                                        "console_scripts")
     assert ep.load() is cli.main
+
+
+def test_scan_gamma_rejects_negative_size(capsys):
+    code, out, err = run(capsys, "scan-gamma", "--pmax", "-1")
+    assert_unusable_input(code, err)
+    assert out == ""
+
+
+def test_unexpected_exception_exits_3(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "eulerian_polynomial", broken)
+    code, out, err = run(capsys, "eulerian", "--poset", "chain:1,2",
+                         "--s", "1,1")
+    assert code == 3
+    assert err == "error: unexpected ZeroDivisionError: boom second line\n"
+
+
+# Argument vectors for the fuzz test: each subcommand with a few options
+# drawn from small well-formed and malformed values, kept small enough
+# that every run finishes in well under a second.
+SMALL_INTS = st.sampled_from(["-1", "0", "1", "2", "3", "x", ""])
+POSETS = st.sampled_from([
+    "chain:1,2", "chain:2,1,3", "chain:1,1", "chain:", "chain:0",
+    "antichain:2", "antichain:0", "antichain:-1", "antichain:x",
+    "ordinal:1,2", "ordinal:0", 'json:{"p":2,"covers":[[1,2]]}',
+    'json:{"p":2,"covers":[[2,2]]}', 'json:{"p":-1,"covers":[]}',
+    'json:{"covers":[]}', "json:[", "json:null", "file:/nonexistent/poset",
+    "chain:1,2;s=1,2", "chain:1,2;s=x", "bogus"])
+SMAPS = st.sampled_from(["1,2", "2,1,3", "1", "0,1", "-1,2", "const:2",
+                         "const:0", "const:x", "auto", "", "1,,2"])
+CAPS = st.sampled_from(["x=1,t=2", "x=0,t=0", "x=-1", "t=-2", "z=1", "x=a",
+                        "x", ",", ""])
+OPTIONS = {
+    "eulerian": {"--poset": POSETS, "--s": SMAPS},
+    "ehrhart": {"--poset": POSETS, "--s": SMAPS, "--nmax": SMALL_INTS},
+    "extensions": {"--poset": POSETS, "--s": SMAPS},
+    "stats": {"--pi": st.sampled_from(["1,2", "2,1", "1,1", "3", ""]),
+              "--colors": st.sampled_from(["0,1", "1,0", "0", "-1,0", "x"]),
+              "--s": SMAPS},
+    "verify": {"--identity": st.sampled_from(["F", "R2", "UQ", "KN", "KN1",
+                                              "RECIPR", "NOPE"]),
+               "--poset": POSETS, "--s": SMAPS, "--k": SMALL_INTS,
+               "--p": SMALL_INTS, "--caps": CAPS, "--capx": SMALL_INTS,
+               "--capt": SMALL_INTS},
+    "verify-all": {"--poset": POSETS, "--s": SMAPS, "--caps": CAPS,
+                   "--names": st.sampled_from(["F,UQ", "LHP", "F,F", "NOPE",
+                                               ",", "KN1,RECIPR"]),
+                   "--capt": SMALL_INTS},
+    "bij": {"--poset": POSETS, "--n": SMALL_INTS},
+    "ordinal-interlacing": {"--blocks": st.sampled_from(["2,1", "1", "0",
+                                                         "-1", "", "x"]),
+                            "--block-s": st.sampled_from(["2,2", "1", "0,1",
+                                                          "", "x"])},
+    "scan-gamma": {"--pmax": SMALL_INTS},
+    "dual": {"--poset": POSETS},
+    "kn-roots": {"--k": SMALL_INTS, "--p": SMALL_INTS,
+                 "--samples": SMALL_INTS, "--seed": SMALL_INTS,
+                 "--max-num": SMALL_INTS, "--max-den": SMALL_INTS},
+}
+
+
+@st.composite
+def argument_vectors(draw):
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    argv = [command]
+    for option, values in OPTIONS[command].items():
+        if draw(st.booleans()):
+            argv += [option, draw(values)]
+    return argv
+
+
+def _shows_failure(out):
+    for line in out.splitlines():
+        doc = json.loads(line)
+        if (doc.get("status") == "fail" or doc.get("failed")
+                or doc.get("methods_agree") is False or doc.get("failures")
+                or doc.get("proven_regime_failures")):
+            return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(argument_vectors())
+def test_fuzzed_arguments_keep_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:  # argparse's own usage errors and --help
+            code = e.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert code != 1 or _shows_failure(out.getvalue()), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -109,6 +109,16 @@ def test_eulerian_dp_cap():
         assert fn(P, s, max_steps=128)
 
 
+def test_dp_cap_counts_down_sets_by_chains():
+    # 2^18 x 54 steps is over the default cap, but the 18-chain has only 19
+    # down-sets; the 18-antichain really has 2^18 and is still refused
+    A = eulerian_polynomial(make_chain(tuple(range(1, 19))), (3,) * 18)
+    assert sum(A.coeffs) == 3 ** 18
+    with pytest.raises(ResourceLimitError,
+                       match="14155776 transitions.*LHALL_MAX_DP"):
+        eulerian_polynomial(make_antichain(18), (3,) * 18)
+
+
 def test_eulerian_polynomial_beyond_the_old_extension_cap():
     # 8! * 3^8 = 2.6e8 colored extensions, above LHALL_MAX_COLORED's default
     A = eulerian_polynomial(make_antichain(8), (3,) * 8)

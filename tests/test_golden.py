@@ -1,0 +1,47 @@
+"""The identity layer's CLI output over the corpus, against a golden file.
+
+golden_verify_all.txt holds, for every CORPUS pair at caps x=3,t=5 and
+x=2,t=3, a header line "name caps exit=code" and the verify-all JSON line
+the CLI printed.  A refactor of series or identities must leave every byte
+of it alone.  To rewrite the file after a change that is meant to alter the
+output, run `PYTHONPATH=src python tests/test_golden.py --write` and say why
+in the change log.
+"""
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+from lhall import cli, poset_to_document
+from lhall.corpus import CORPUS
+
+GOLDEN = Path(__file__).with_name("golden_verify_all.txt")
+CAPS = ("x=3,t=5", "x=2,t=3")
+
+
+def _render():
+    lines = []
+    for caps in CAPS:
+        for name, P, s in CORPUS:
+            spec = "json:" + json.dumps(poset_to_document(P))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["verify-all", "--poset", spec,
+                                 "--s", ",".join(map(str, s)), "--caps", caps])
+            lines.append(f"{name} {caps} exit={code}\n")
+            lines.append(out.getvalue())
+    return "".join(lines)
+
+
+def test_verify_all_matches_golden_file():
+    expected = GOLDEN.read_text().splitlines()
+    got = _render().splitlines()
+    assert len(got) == len(expected)
+    for i, (a, b) in enumerate(zip(got, expected)):
+        assert a == b, f"line {i + 1} differs: {expected[i - i % 2]}"
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+    GOLDEN.write_text(_render())

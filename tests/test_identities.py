@@ -4,14 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from lhall import (InvalidInputError, Polynomial, SeriesContext,
-                   carlitz_change_of_variables_invariance, cone_points,
+from lhall import (InvalidInputError, Polynomial, SeriesContext, cone_points,
                    eulerian_polynomial, first_mismatch, kn_descent_polynomial,
                    make_antichain, make_chain, qr_decompose, verify_all,
                    verify_identity, verify_kn, verify_kn1)
+from lhall import identities
 from lhall.corpus import corpus_get
 from lhall.identities import IDENTITY_NAMES, SUITE
-from oracles import classical_eulerian
+from oracles import box_points, classical_eulerian, series_first_mismatch
 
 SAMPLE = ("chain2-nat-s12", "chain2-rev-s21", "antichain2-s22", "vee-s112",
           "n-poset-s1212", "unrankable-s212")
@@ -137,6 +137,56 @@ def test_kn_descent_polynomial_validates_weights():
         kn_descent_polynomial(2, 2, (1,))
 
 
-def test_carlitz_change_of_variables():
-    report = carlitz_change_of_variables_invariance(2, 3, 4)
-    assert report.passed and report.identity == "CARLITZ"
+
+def _oracle_lhs(points, s, capx, capt):
+    """The F side (capt None) or the R1 side on exponent tuples
+    (x_1..x_p, y_1..y_p[, t]), from an explicit list of points."""
+    out = {}
+    for f in points:
+        q, r = zip(*(divmod(v, sv) for v, sv in zip(f, s))) if f else ((), ())
+        if max(q, default=0) > capx:
+            continue
+        if capt is None:
+            levels = [()]
+        else:
+            m = max((-(-v // sv) for v, sv in zip(f, s)), default=0)
+            levels = [(n,) for n in range(m, capt + 1)]
+        for t in levels:
+            key = q + r + t
+            out[key] = out.get(key, 0) + 1
+    return out
+
+
+@pytest.mark.parametrize("name", ["F", "R1"])
+def test_dropped_point_gives_the_smallest_witness(monkeypatch, name):
+    # losing one lattice point must fail the check at the smallest monomial
+    # where the lattice side now differs, with both coefficients
+    _, P, s = corpus_get("vee-s112")
+    capx, capt = 3, 5
+    assert verify_identity(name, P, s, capx, capt).passed
+    original = identities.enumerate_points
+    dropped = []
+
+    def drop_one(*args, **kwargs):
+        for i, f in enumerate(original(*args, **kwargs)):
+            if i == 3:
+                dropped.append(f)
+            else:
+                yield f
+
+    monkeypatch.setattr(identities, "enumerate_points", drop_one)
+    report = verify_identity(name, P, s, capx, capt)
+    assert report.status == "fail" and len(dropped) == 1
+
+    if name == "F":
+        hi, cap_t = [(capx + 1) * v - 1 for v in s], None
+    else:
+        hi, cap_t = [capt * v for v in s], capt
+    full = box_points(P, s, [0] * P.p, hi)
+    kept = [f for f in full if f != dropped[0]]
+    key, ca, cb = series_first_mismatch(_oracle_lhs(kept, s, capx, cap_t),
+                                        _oracle_lhs(full, s, capx, cap_t))
+    names = ([f"x{x}" for x in P.elements] + [f"y{x}" for x in P.elements]
+             + (["t"] if cap_t is not None else []))
+    monomial = {n: e for n, e in zip(names, key) if e}
+    assert report.witness == {"monomial": monomial, "lhs": ca, "rhs": cb}

@@ -9,6 +9,7 @@ from lhall import (InvalidInputError, LabeledPoset, ResourceLimitError,
                    make_chain, ordinal_sum, ordinal_sum_of_antichains,
                    poset_from_document, poset_to_document, sign_rank,
                    validate_smap)
+from lhall.posets import _chain_bound
 from oracles import posets
 
 
@@ -181,3 +182,13 @@ def test_document_roundtrip():
 @given(posets(max_p=5))
 def test_document_roundtrip_random(P):
     assert poset_from_document(poset_to_document(P)) == P
+
+
+@settings(max_examples=100)
+@given(posets(max_p=7))
+def test_chain_bound_brackets_the_down_sets(P):
+    down_sets = sum(
+        1 for mask in range(1 << P.p)
+        if all(not mask >> (y - 1) & 1 or mask >> (x - 1) & 1
+               for x, y in P.covers))
+    assert down_sets <= _chain_bound(P) <= 2 ** P.p

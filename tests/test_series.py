@@ -1,12 +1,10 @@
 """Truncated multivariate power series over exact rationals."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lhall import (InvalidInputError, Series, SeriesContext, first_mismatch,
-                   substitute, to_records)
+from lhall import InvalidInputError, SeriesContext, first_mismatch, to_records
+from oracles import series_first_mismatch, series_geometric, series_mul
 
 
 def ctx_xy(capx=3, capy=3):
@@ -15,12 +13,11 @@ def ctx_xy(capx=3, capy=3):
 
 def test_context_keys_and_caps():
     ctx = ctx_xy()
-    assert ctx.key_of({"x": 1}) == (1, 0)
-    assert ctx.in_cap((3, 3)) and not ctx.in_cap((4, 0))
+    assert to_records(ctx.monomial({"x": 1})) == [({"x": 1}, 1)]
+    assert ctx.key_of({"x": 3, "y": 3}) is not None
+    assert ctx.key_of({"x": 4}) is None
     with pytest.raises(InvalidInputError):
         ctx.key_of({"z": 1})
-    # negative entries are legal in raw keys (used by monomial shifts) but
-    # never in monomials themselves
     with pytest.raises(InvalidInputError):
         ctx.monomial({"x": -1})
 
@@ -52,7 +49,6 @@ def test_arithmetic_hand_cases():
     assert to_records(g) == [({"y": 2}, 1), ({"x": 1, "y": 1}, 2),
                              ({"x": 2}, 1)]
     assert (g - g).is_zero()
-    assert g.scale(Fraction(1, 2)).terms[ctx.key_of({"x": 1, "y": 1})] == 1
     assert f.mul_monomial({"x": 1}) == f * ctx.monomial({"x": 1})
 
 
@@ -98,13 +94,91 @@ def test_first_mismatch():
     assert first_mismatch(a, a) is None
 
 
-def test_substitute():
-    ctx = ctx_xy()
-    target = SeriesContext({"u": 6})
-    f = ctx.geometric({"x": 1}) * ctx.geometric({"y": 1})
-    g = substitute(f, target, {"x": {"u": 1}, "y": {"u": 1}})
-    # coefficient of u^k counts pairs a + b = k with a, b <= 3
-    expected = {0: 1, 1: 2, 2: 3, 3: 4, 4: 3, 5: 2, 6: 1}
-    assert {k[0]: c for k, c in g.terms.items()} == expected
-    with pytest.raises(InvalidInputError):
-        substitute(f, target, {"x": {"u": 1}})
+# Packed arithmetic against the exponent-tuple oracles.  Caps 0, 1, 3 and 7
+# fill their bit fields up to the guard bit and caps 2, 4 and 8 start a new
+# width; cap 0 is the UQ context's q cap when every color count is 1.
+FIELD_EDGE_CAPS = (0, 1, 2, 3, 4, 7, 8)
+
+
+@st.composite
+def contexts(draw):
+    caps = draw(st.lists(st.sampled_from(FIELD_EDGE_CAPS), min_size=1,
+                         max_size=9))
+    return SeriesContext({f"v{i}": c for i, c in enumerate(caps)})
+
+
+def exponent_tuples(ctx):
+    """Exponents up to one past each cap, so some monomials fall outside."""
+    return st.tuples(*[st.integers(0, c + 1) for c in ctx.caps])
+
+
+def tuple_series(ctx):
+    return st.lists(st.tuples(exponent_tuples(ctx), st.integers(-3, 3)),
+                    max_size=8)
+
+
+def _build(ctx, terms):
+    """The packed series and the oracle's {tuple: coefficient} of terms."""
+    packed = ctx.zero()
+    oracle = {}
+    for exps, coeff in terms:
+        packed = packed + ctx.monomial(dict(zip(ctx.names, exps)), coeff)
+        if all(e <= c for e, c in zip(exps, ctx.caps)):
+            oracle[exps] = oracle.get(exps, 0) + coeff
+    return packed, {k: c for k, c in oracle.items() if c}
+
+
+def _tuples(series):
+    """Unpack through to_records, which must list keys in tuple order."""
+    names = series.ctx.names
+    records = to_records(series)
+    keys = [tuple(d.get(n, 0) for n in names) for d, _ in records]
+    assert keys == sorted(keys)
+    return {key: c for key, (_, c) in zip(keys, records)}
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_packed_arithmetic_matches_tuple_oracle(data):
+    ctx = data.draw(contexts())
+    a, ta = _build(ctx, data.draw(tuple_series(ctx)))
+    b, tb = _build(ctx, data.draw(tuple_series(ctx)))
+    assert _tuples(a) == ta
+    add = {k: ta.get(k, 0) + tb.get(k, 0) for k in set(ta) | set(tb)}
+    assert _tuples(a + b) == {k: c for k, c in add.items() if c}
+    sub = {k: ta.get(k, 0) - tb.get(k, 0) for k in set(ta) | set(tb)}
+    assert _tuples(a - b) == {k: c for k, c in sub.items() if c}
+    assert _tuples(a * b) == series_mul(ta, tb, ctx.caps)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_packed_geometric_and_shift_match_tuple_oracle(data):
+    ctx = data.draw(contexts())
+    step = data.draw(exponent_tuples(ctx).filter(any))
+    exps = dict(zip(ctx.names, step))
+    assert _tuples(ctx.geometric(exps)) == series_geometric(step, ctx.caps)
+    a, ta = _build(ctx, data.draw(tuple_series(ctx)))
+    coeff = data.draw(st.integers(-3, 3))
+    assert (_tuples(a.mul_monomial(exps, coeff))
+            == series_mul(ta, {step: coeff} if coeff else {}, ctx.caps))
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_packed_first_mismatch_matches_tuple_oracle(data):
+    ctx = data.draw(contexts())
+    a, ta = _build(ctx, data.draw(tuple_series(ctx)))
+    # b shares a's terms up to a small edit, so mismatches are not always
+    # at the smallest monomial of either side
+    b, tb = _build(ctx, data.draw(tuple_series(ctx), label="edit"))
+    b, tb = a + b, {k: ta.get(k, 0) + tb.get(k, 0) for k in set(ta) | set(tb)}
+    tb = {k: c for k, c in tb.items() if c}
+    expected = series_first_mismatch(ta, tb)
+    got = first_mismatch(a, b)
+    if expected is None:
+        assert got is None
+    else:
+        key, ca, cb = expected
+        exps = {n: e for n, e in zip(ctx.names, key) if e}
+        assert got == (exps, ca, cb)
