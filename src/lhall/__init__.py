@@ -9,9 +9,9 @@ tying all of these together.
 """
 
 from .colored import (ColoredPermutation, DescentProfile, colored_extensions,
-                      descent_profile, eulerian_polynomial, flag_major_index,
-                      refined_eulerian, statistics, x_order)
-from .corpus import CORPUS, corpus_get, corpus_names
+                      descent_profile, eulerian_polynomial, refined_eulerian,
+                      statistics, x_order)
+from .corpus import CORPUS, corpus_get
 from .errors import (InternalCheckError, InvalidInputError, LhallError,
                      NotPolynomialError, ResourceLimitError)
 from .identities import (IDENTITY_NAMES, SUITE, kn_descent_polynomial,

@@ -17,13 +17,15 @@ Reports are JSON on stdout; --format text or tsv renders the same document
 as flat key/value lines.  scan-gamma streams one JSON line per poset before
 its summary line.  Exit status 0 means every requested check passed or was
 skipped as not applicable, 1 means some check failed, 2 means the input
-could not be used, and 3 means the program itself failed unexpectedly.
+could not be used, and 3 means the program itself failed unexpectedly.  A
+reader that closes stdout early, as `head` does, ends the run with status 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -423,7 +425,14 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early, which is no failure; point stdout
+        # at the null device so the interpreter's last flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except LhallError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -140,17 +140,6 @@ def statistics(tau, s):
     return out
 
 
-def flag_major_index(tau, s):
-    """fmaj for constant s = (k, ..., k); rejects non-constant s."""
-    if len(set(s)) > 1:
-        raise InvalidInputError("fmaj is only defined for a constant color count")
-    if not tau.pi:
-        return 0
-    prof = descent_profile(tau, s)
-    comaj = sum(len(tau.pi) - i for i in prof.d)
-    return sum(tau.colors) + s[0] * comaj
-
-
 def _pairs_by_ratio(s, shift):
     """Pairs (k, x) with shift <= k < s(x) + shift, ordered by (k/s(x), x).
 

@@ -54,10 +54,6 @@ def _build():
 CORPUS = _build()
 
 
-def corpus_names():
-    return tuple(name for name, _, _ in CORPUS)
-
-
 def corpus_get(name):
     for entry in CORPUS:
         if entry[0] == name:

@@ -7,19 +7,26 @@ since exponents only ever grow under multiplication, so the two sides agree
 on the retained window exactly when the full identity does there, and the
 smallest differing monomial is a genuine witness against it.
 
-Term shapes on the extension side use the running products
-    M_j = prod of x_v over the letters v in positions j..p of pi,
-with M_{p+1} = 1, and the descent sets of the colored permutation.
+Every extension side has one staircase form.  For a colored extension
+tau = (pi, r), let z_j be the product of one letter per element over the
+positions j..p of pi, with z_{p+1} = 1.  The side is
+
+    sum over tau of  prod_x color(x, r(x)) * prod_{i in D} z_{i+1} t^(|D| + e)
+                     / ((1 - t) prod_j (1 - z_j t)),
+
+where the descent set D and the extra power e come from tau's descent
+profile, and the identity fixes the letter, the color weight and the rule
+for (D, e).  An ungraded side drops t and the factor 1 - t.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import groupby
-from operator import getitem
+from itertools import accumulate, groupby
+from operator import attrgetter, getitem
 
-from .colored import colored_extensions, descent_profile, statistics
+from .colored import colored_extensions, descent_profile
 from .errors import InvalidInputError
 from .lattice import enumerate_points, qr_decompose, verify_recipr
 from .polys import Polynomial, monomial
@@ -44,29 +51,6 @@ def _ctx_xy(P, s, capx, capt=None):
     if capt is not None:
         caps["t"] = capt
     return SeriesContext(caps)
-
-
-def _suffix_sets(pi):
-    """Exponent dicts for M_1, ..., M_{p+1}, indexable by position j."""
-    out = [None] * (len(pi) + 2)
-    acc = {}
-    out[len(pi) + 1] = {}
-    for j in range(len(pi), 0, -1):
-        acc = dict(acc)
-        acc[f"x{pi[j - 1]}"] = 1
-        out[j] = acc
-    return out
-
-
-def _merge_into(acc, exps):
-    for name, e in exps.items():
-        acc[name] = acc.get(name, 0) + e
-
-
-def _group_by_pi(P, s, max_count):
-    for pi, group in groupby(colored_extensions(P, s, max_count),
-                             key=lambda tau: tau.pi):
-        yield pi, list(group)
 
 
 def _add_capped(series, exps, coeff=1):
@@ -228,97 +212,108 @@ def _lhs_independent_products(ctx, P, factor_terms, capt):
 # colored extension sides
 
 
-def _rhs_xy(ctx, P, s, kind, max_count):
-    total = ctx.zero()
+def _staircase_side(ctx, P, s, max_count, rule, letter, color):
+    """The staircase form of the module docstring, summed over (P, s).
+
+    letter(x) and color(x, r) give exponent dicts, and rule maps a descent
+    profile to (D, e).  The side is graded exactly when ctx has a variable
+    t.  With w_i = z_{i+1} t (graded) or z_{i+1} (not graded), a descent at
+    i contributes w_i, and the denominator is the product of 1 - w_i over
+    i = 0..p (i < p when not graded, since w_p = 1 there).  Extensions whose
+    pi gives the same staircase (w_0, ..., w_p) share one numerator, and each
+    distinct denominator is expanded once and multiplied in once.  Returns
+    the series and the number of extensions summed.
+    """
+    graded = "t" in ctx.index
+    key_of = ctx.key_of
+    letters = {x: letter(x) for x in P.elements}
+    paint = [[key_of(color(x, r)) for r in range(v)]
+             for x, v in zip(P.elements, s)]
+    w_p = {"t": 1} if graded else {}
+    lift = (0, key_of(w_p)) if graded else (0,)
+    sides = {}
     extensions = 0
-    for pi, taus in _group_by_pi(P, s, max_count):
-        suffixes = _suffix_sets(pi)
+    for pi, taus in groupby(colored_extensions(P, s, max_count),
+                            key=attrgetter("pi")):
+        # steps[i] = w_i: from w_p, multiply in the letters right to left
+        steps = list(accumulate(map(letters.get, reversed(pi)), _times,
+                                initial=w_p))[::-1]
+        stair = tuple(map(key_of, steps))
+        side = sides.get(stair)
+        if side is None:
+            side = sides[stair] = (steps if graded else steps[:-1], {})
+        num = side[1]
+        for tau in taus:
+            extensions += 1
+            dset, extra = rule(descent_profile(tau, s))
+            key = ctx.key_product([lift[extra],
+                                   *map(getitem, paint, tau.colors),
+                                   *[stair[i] for i in dset]])
+            if key is not None:
+                num[key] = num.get(key, 0) + 1
+    total = ctx.zero()
+    for steps, num in sides.values():
         denom = ctx.one()
-        for j in range(1, len(pi) + 1):
-            denom = denom * ctx.geometric(suffixes[j])
-        num = ctx.zero()
-        for tau in taus:
-            extensions += 1
-            prof = descent_profile(tau, s)
-            if kind == "F":
-                dset, color_exp = prof.d1, lambda x: tau.colors[x - 1]
-            elif kind == "F_PLUS":
-                dset, color_exp = prof.d2, lambda x: tau.colors[x - 1]
-            elif kind == "G":
-                dset, color_exp = prof.d3, lambda x: tau.colors[x - 1] + 1
-            else:  # RECI: ascent positions and complemented colors
-                dset = frozenset(range(1, len(pi))) - prof.d1
-                color_exp = lambda x: s[x - 1] - tau.colors[x - 1]
-            exps = {}
-            for x in pi:
-                e = color_exp(x)
-                if e:
-                    _merge_into(exps, {f"y{x}": e})
-            for i in sorted(dset):
-                _merge_into(exps, suffixes[i + 1])
-            _add_capped(num, exps)
-        total = total + num * denom
+        for w in steps:
+            denom = denom * ctx.geometric(w)
+        for key, c in (Series(ctx, num) * denom).terms.items():
+            total._add_term(key, c)
     return total, extensions
 
 
-def _rhs_xy_t(ctx, P, s, kind, max_count):
-    total = ctx.zero()
-    extensions = 0
-    for pi, taus in _group_by_pi(P, s, max_count):
-        suffixes = _suffix_sets(pi)
-        denom = ctx.geometric({"t": 1})
-        for j in range(1, len(pi) + 1):
-            denom = denom * ctx.geometric(dict(suffixes[j], t=1))
-        num = ctx.zero()
-        for tau in taus:
-            extensions += 1
-            prof = descent_profile(tau, s)
-            if kind == "R1":
-                dset, shift, tpow = prof.d, 0, len(prof.d)
-            elif kind == "R2":
-                dset, shift, tpow = prof.d1, 0, len(prof.d1) + 1
-            elif kind == "R3":
-                dset, shift, tpow = prof.d4, 0, len(prof.d4)
-            else:  # R4
-                dset, shift, tpow = prof.d3, 1, len(prof.d3) + 1
-            exps = {"t": tpow} if tpow else {}
-            for x in pi:
-                e = tau.colors[x - 1] + shift
-                if e:
-                    _merge_into(exps, {f"y{x}": e})
-            for i in sorted(dset):
-                _merge_into(exps, suffixes[i + 1])
-            _add_capped(num, exps)
-        total = total + num * denom
-    return total, extensions
+def _times(a, b):
+    """The product of two monomials given as exponent dicts."""
+    return {**a, **{n: a.get(n, 0) + e for n, e in b.items()}}
+
+
+def _by_d(prof):
+    return prof.d, 0
+
+
+def _x_letter(x):
+    return {f"x{x}": 1}
+
+
+def _q_color(x, r):
+    return {"q": r}
+
+
+# the x/y identities: kind -> (descent rule, shift of y_x's exponent over r)
+_XY_ROWS = {
+    "F": (lambda prof: (prof.d1, 0), 0),
+    "F_PLUS": (lambda prof: (prof.d2, 0), 0),
+    "G": (lambda prof: (prof.d3, 0), 1),
+    "R1": (_by_d, 0),
+    "R2": (lambda prof: (prof.d1, 1), 0),
+    "R3": (lambda prof: (prof.d4, 0), 0),
+    "R4": (lambda prof: (prof.d3, 1), 1),
+}
+
+
+def _rhs_xy(ctx, P, s, kind, max_count):
+    rule, shift = _XY_ROWS[kind]
+    return _staircase_side(ctx, P, s, max_count, rule, _x_letter,
+                           lambda x, r: {f"y{x}": r + shift})
+
+
+def _rhs_uq(ctx, P, s, max_count):
+    """q^|r| u^comaj t^des over the staircase of u^p t, ..., u t, t."""
+    return _staircase_side(ctx, P, s, max_count, _by_d, lambda x: {"u": 1},
+                           _q_color)
 
 
 # ---------------------------------------------------------------------------
 # the individual identities
 
 
-def _verify_F(P, s, capx, capt, max_points, max_count):
-    ctx = _ctx_xy(P, s, capx)
-    lhs = _lhs_xy(ctx, P, s, capx, positive=False, primed=False,
-                  max_points=max_points)
-    rhs, ext = _rhs_xy(ctx, P, s, "F", max_count)
-    return _series_report("F", {"x": capx}, lhs, rhs, {"extensions": ext})
+def _verify_xy(kind, positive, primed):
+    def run(P, s, capx, capt, max_points, max_count):
+        ctx = _ctx_xy(P, s, capx)
+        lhs = _lhs_xy(ctx, P, s, capx, positive, primed, max_points)
+        rhs, ext = _rhs_xy(ctx, P, s, kind, max_count)
+        return _series_report(kind, {"x": capx}, lhs, rhs, {"extensions": ext})
 
-
-def _verify_F_PLUS(P, s, capx, capt, max_points, max_count):
-    ctx = _ctx_xy(P, s, capx)
-    lhs = _lhs_xy(ctx, P, s, capx, positive=True, primed=False,
-                  max_points=max_points)
-    rhs, ext = _rhs_xy(ctx, P, s, "F_PLUS", max_count)
-    return _series_report("F_PLUS", {"x": capx}, lhs, rhs, {"extensions": ext})
-
-
-def _verify_G(P, s, capx, capt, max_points, max_count):
-    ctx = _ctx_xy(P, s, capx)
-    lhs = _lhs_xy(ctx, P, s, capx, positive=True, primed=True,
-                  max_points=max_points)
-    rhs, ext = _rhs_xy(ctx, P, s, "G", max_count)
-    return _series_report("G", {"x": capx}, lhs, rhs, {"extensions": ext})
+    return run
 
 
 def _verify_RECI(P, s, capx, capt, max_points, max_count):
@@ -326,13 +321,17 @@ def _verify_RECI(P, s, capx, capt, max_points, max_count):
 
     The left side lives on the order dual with the reversed color counts;
     variable i of this poset carries the digits of the dual point at the
-    mirrored element p + 1 - i.
+    mirrored element p + 1 - i.  The right side takes the ascents of tau as
+    its descent set and y_x^(s(x) - r(x)) as its color weight.
     """
     ctx = _ctx_xy(P, s, capx)
     lhs = _lhs_xy(ctx, P.dual(), tuple(reversed(s)), capx, positive=True,
                   primed=True, max_points=max_points,
                   labels=tuple(reversed(P.elements)))
-    rhs, ext = _rhs_xy(ctx, P, s, "RECI", max_count)
+    ascents = frozenset(range(1, P.p))
+    rhs, ext = _staircase_side(ctx, P, s, max_count,
+                               lambda prof: (ascents - prof.d1, 0), _x_letter,
+                               lambda x, r: {f"y{x}": s[x - 1] - r})
     return _series_report("RECI", {"x": capx}, lhs, rhs, {"extensions": ext})
 
 
@@ -347,7 +346,7 @@ def _verify_R(kind):
                 kind, "skip", reason="degenerate for the empty poset")
         ctx = _ctx_xy(P, s, capx, capt)
         lhs = _lhs_xy_t(ctx, P, s, capt, positive, primed, strict, max_points)
-        rhs, ext = _rhs_xy_t(ctx, P, s, kind, max_count)
+        rhs, ext = _rhs_xy(ctx, P, s, kind, max_count)
         return _series_report(kind, {"x": capx, "t": capt}, lhs, rhs,
                               {"extensions": ext})
 
@@ -372,7 +371,7 @@ def _verify_COR6(P, s, capx, capt, max_points, max_count):
         return terms
 
     lhs = _lhs_independent_products(ctx, P, factor_terms, capt)
-    rhs, ext = _rhs_xy_t(ctx, P, s, "R1", max_count)
+    rhs, ext = _rhs_xy(ctx, P, s, "R1", max_count)
     return _series_report("COR6", {"x": capx, "t": capt}, lhs, rhs,
                           {"extensions": ext})
 
@@ -434,42 +433,24 @@ def _verify_UQ(P, s, capx, capt, max_points, max_count):
     caps = _uq_caps(P, s, capt)
     ctx = SeriesContext(caps)
     lhs = _level_graded_sums(ctx, P, s, capt, ("u", "q"), divmod, max_points)
-    denom = ctx.geometric({"t": 1})
-    for i in range(1, P.p + 1):
-        denom = denom * ctx.geometric({"u": i, "t": 1})
-    num = ctx.zero()
-    extensions = 0
-    for tau in colored_extensions(P, s, max_count):
-        extensions += 1
-        st = statistics(tau, s)
-        _add_capped(num, {"q": sum(tau.colors), "u": st["comaj"],
-                          "t": st["des"]})
-    rhs = num * denom
-    return _series_report("UQ", caps, lhs, rhs, {"extensions": extensions})
+    rhs, ext = _rhs_uq(ctx, P, s, max_count)
+    return _series_report("UQ", caps, lhs, rhs, {"extensions": ext})
 
 
 def _verify_LHP(P, s, capx, capt, max_points, max_count):
-    """Level-graded size distribution against the lhp statistic."""
+    """Level-graded size distribution against the lhp statistic.
+
+    The letter of x is q^s(x), so z_j sums s over the suffix of pi from j.
+    """
     total_s = sum(s)
     caps = {"t": capt,
             "q": capt * total_s + sum(v - 1 for v in s) + P.p * total_s}
     ctx = SeriesContext(caps)
     lhs = _level_graded_sums(ctx, P, s, capt, ("q",), lambda v, sv: (v,),
                              max_points)
-    rhs = ctx.zero()
-    extensions = 0
-    for pi, taus in _group_by_pi(P, s, max_count):
-        denom = ctx.geometric({"t": 1})
-        for i in range(1, P.p + 1):
-            sigma = sum(s[x - 1] for x in pi[i - 1:])
-            denom = denom * ctx.geometric({"q": sigma, "t": 1})
-        num = ctx.zero()
-        for tau in taus:
-            extensions += 1
-            st = statistics(tau, s)
-            _add_capped(num, {"q": st["lhp"], "t": st["des"]})
-        rhs = rhs + num * denom
-    return _series_report("LHP", caps, lhs, rhs, {"extensions": extensions})
+    rhs, ext = _staircase_side(ctx, P, s, max_count, _by_d,
+                               lambda x: {"q": s[x - 1]}, _q_color)
+    return _series_report("LHP", caps, lhs, rhs, {"extensions": ext})
 
 
 def _verify_QV(P, s, capx, capt, max_points, max_count):
@@ -487,18 +468,8 @@ def _verify_QV(P, s, capx, capt, max_points, max_count):
         return terms
 
     lhs = _lhs_independent_products(ctx, P, factor_terms, capt)
-    denom = ctx.geometric({"t": 1})
-    for i in range(1, P.p + 1):
-        denom = denom * ctx.geometric({"u": i, "t": 1})
-    num = ctx.zero()
-    extensions = 0
-    for tau in colored_extensions(P, s, max_count):
-        extensions += 1
-        st = statistics(tau, s)
-        _add_capped(num, {"q": sum(tau.colors), "u": st["comaj"],
-                          "t": st["des"]})
-    rhs = num * denom
-    return _series_report("QV", caps, lhs, rhs, {"extensions": extensions})
+    rhs, ext = _rhs_uq(ctx, P, s, max_count)
+    return _series_report("QV", caps, lhs, rhs, {"extensions": ext})
 
 
 def _constant_antichain(P, s, name):
@@ -512,43 +483,31 @@ def _constant_antichain(P, s, name):
 
 
 def _verify_KN1(P, s, capx, capt, max_points, max_count):
-    """Power sums of q-brackets against the flag major index."""
+    """Power sums of q-brackets against the flag major index.
+
+    fmaj = |r| + k comaj, so the letter of every element is q^k.
+    """
     k, skip = _constant_antichain(P, s, "KN1")
     if skip:
         return skip
     p = P.p
     caps = {"t": capt, "q": k * p * capt + (k - 1) * p + k * p * (p - 1) // 2}
     ctx = SeriesContext(caps)
-    lhs = ctx.zero()
-    for n in range(capt + 1):
-        level = ctx.one()
-        bracket = ctx.zero()
-        for e in range(k * n + 1):
-            _add_capped(bracket, {"q": e} if e else {})
-        for _ in range(p):
-            level = level * bracket
-        for key, c in level.mul_monomial({"t": n}).terms.items():
-            lhs._add_term(key, c)
-    denom = ctx.geometric({"t": 1})
-    for i in range(1, p + 1):
-        denom = denom * ctx.geometric({"q": k * i, "t": 1})
-    num = ctx.zero()
-    extensions = 0
-    for tau in colored_extensions(P, s, max_count):
-        extensions += 1
-        st = statistics(tau, s)
-        _add_capped(num, {"q": st["fmaj"], "t": st["des"]})
-    rhs = num * denom
-    return _series_report("KN1", caps, lhs, rhs,
-                          {"extensions": extensions, "k": k})
+    lhs = _lhs_independent_products(
+        ctx, P, lambda x, n: _bracket_terms("q", k * n + 1), capt)
+    rhs, ext = _staircase_side(ctx, P, s, max_count, _by_d,
+                               lambda x: {"q": k}, _q_color)
+    return _series_report("KN1", caps, lhs, rhs, {"extensions": ext, "k": k})
 
 
 def _verify_KN(P, s, capx, capt, max_points, max_count):
-    """Color-refined count with a plain binomial denominator."""
+    """Color-refined count with a plain binomial denominator.
+
+    Every letter is 1, so each staircase step is t alone.
+    """
     k, skip = _constant_antichain(P, s, "KN")
     if skip:
         return skip
-    p = P.p
     caps = {f"q{x}": k - 1 for x in P.elements}
     caps["t"] = capt
     ctx = SeriesContext(caps)
@@ -561,40 +520,28 @@ def _verify_KN(P, s, capx, capt, max_points, max_count):
         return terms
 
     lhs = _lhs_independent_products(ctx, P, factor_terms, capt)
-    denom = ctx.one()
-    for _ in range(p + 1):
-        denom = denom * ctx.geometric({"t": 1})
-    num = ctx.zero()
-    extensions = 0
-    for tau in colored_extensions(P, s, max_count):
-        extensions += 1
-        prof = descent_profile(tau, s)
-        exps = {"t": len(prof.d)} if prof.d else {}
-        for x in P.elements:
-            if tau.colors[x - 1]:
-                exps[f"q{x}"] = tau.colors[x - 1]
-        _add_capped(num, exps)
-    rhs = num * denom
-    return _series_report("KN", caps, lhs, rhs,
-                          {"extensions": extensions, "k": k})
+    rhs, ext = _staircase_side(ctx, P, s, max_count, _by_d, lambda x: {},
+                               lambda x, r: {f"q{x}": r})
+    return _series_report("KN", caps, lhs, rhs, {"extensions": ext, "k": k})
 
 
 def _verify_RECIPR(P, s, capx, capt, max_points, max_count):
+    """verify_recipr, which takes s = rank + 1 and skips the posets outside
+    its regime itself; any other s is skipped here.  A valid s is positive,
+    so it can only be rank + 1 when the rank function is nonnegative.
+    """
     info = sign_rank(P)
-    if not info.ranked or any(v < 0 for v in info.rho):
-        return VerificationReport(
-            "RECIPR", "skip",
-            reason="needs a sign-ranked poset with nonnegative rank function")
-    if tuple(s) != tuple(v + 1 for v in info.rho):
+    if info.ranked and min(info.rho, default=0) >= 0 \
+            and tuple(s) != tuple(v + 1 for v in info.rho):
         return VerificationReport(
             "RECIPR", "skip", reason="stated for s = rank + 1")
     return verify_recipr(P)
 
 
 _DISPATCH = {
-    "F": _verify_F,
-    "F_PLUS": _verify_F_PLUS,
-    "G": _verify_G,
+    "F": _verify_xy("F", positive=False, primed=False),
+    "F_PLUS": _verify_xy("F_PLUS", positive=True, primed=False),
+    "G": _verify_xy("G", positive=True, primed=True),
     "R1": _verify_R("R1"),
     "R2": _verify_R("R2"),
     "R3": _verify_R("R3"),

@@ -368,10 +368,13 @@ def verify_ordinal_interlacing(sizes, block_s, max_steps=None):
     sizes lists the antichain block sizes bottom to top, block_s one color
     count per block (s is constant on blocks).  The family split by the first
     letter, read in X order, must be interlacing; its sum is the Eulerian
-    polynomial and must be real-rooted.
+    polynomial and must be real-rooted.  There must be at least one block:
+    the empty poset has an empty family but the Eulerian polynomial 1.
     """
     sizes = tuple(sizes)
     block_s = tuple(block_s)
+    if not sizes:
+        raise InvalidInputError("need at least one block")
     if len(block_s) != len(sizes):
         raise InvalidInputError("need one color count per block")
     P = ordinal_sum_of_antichains(sizes)

@@ -78,6 +78,23 @@ class SeriesContext:
             key += e << self._shifts[i]
         return None if over else key
 
+    def key_product(self, keys):
+        """The packed key of the product of the monomials with these keys,
+        or None when one of them is None or the product is over a cap.
+
+        Every key must be in cap, as key_of returns it; the running product
+        is tested after each factor, so no field ever carries.
+        """
+        bias, guard = self._bias, self._guard
+        total = 0
+        for key in keys:
+            if key is None:
+                return None
+            total += key
+            if (total + bias) & guard:
+                return None
+        return total
+
     def _exponents(self, key):
         """The nonzero exponents of a packed key, as a name -> exponent dict."""
         out = {}

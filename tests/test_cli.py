@@ -20,15 +20,19 @@ def run(capsys, *argv):
     return code, out, err
 
 
-def run_process(*argv, env=None):
-    """Run the CLI in a fresh interpreter, so a crash shows as a traceback."""
+def _process_env(env=None):
     src = str(Path(cli.__file__).resolve().parents[1])
     full = dict(os.environ, **(env or {}))
     full["PYTHONPATH"] = os.pathsep.join(
         v for v in (src, full.get("PYTHONPATH")) if v)
+    return full
+
+
+def run_process(*argv, env=None):
+    """Run the CLI in a fresh interpreter, so a crash shows as a traceback."""
     proc = subprocess.run([sys.executable, "-m", "lhall.cli", *argv],
-                          capture_output=True, text=True, env=full,
-                          timeout=120)
+                          capture_output=True, text=True,
+                          env=_process_env(env), timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -256,6 +260,13 @@ def test_ordinal_interlacing(capsys):
     assert code == 0 and lines[0]["status"] == "pass"
 
 
+def test_ordinal_interlacing_without_blocks_exits_2(capsys):
+    code, out, err = run(capsys, "ordinal-interlacing",
+                         "--blocks", "", "--block-s", "")
+    assert_unusable_input(code, err)
+    assert out == ""
+
+
 def test_scan_gamma_streams_records(capsys):
     code, lines = run_json(capsys, "scan-gamma", "--pmax", "2")
     assert code == 0
@@ -263,6 +274,20 @@ def test_scan_gamma_streams_records(capsys):
     assert summary["checked"] == len(records) == 3
     assert summary["proven_regime_failures"] == []
     assert all(rec["gamma_nonnegative"] for rec in records)
+
+
+def test_closed_stdout_exits_quietly():
+    # the scan prints about 160 kB, more than a pipe holds, so the CLI is
+    # still writing when the reader goes away after ten bytes
+    proc = subprocess.Popen([sys.executable, "-m", "lhall.cli", "scan-gamma",
+                             "--pmax", "5"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=_process_env())
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert head == b'{"covers":' and err == b""
 
 
 def test_dual(capsys):

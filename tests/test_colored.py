@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from lhall import (ColoredPermutation, InvalidInputError, Polynomial,
                    ResourceLimitError, colored_extensions,
                    count_linear_extensions, descent_profile,
-                   eulerian_polynomial, flag_major_index, make_antichain,
-                   make_chain, refined_eulerian, statistics, x_order)
+                   eulerian_polynomial, make_antichain, make_chain,
+                   refined_eulerian, statistics, x_order)
 from oracles import (classical_eulerian, colored_perms, descent_sets_frac,
                      eulerian_by_extensions, posets, refined_by_extensions,
                      smaps_within)
@@ -78,11 +78,8 @@ def test_statistics_definitions(case):
     if len(set(s)) == 1:
         k = s[0]
         assert stats["fmaj"] == sum(colors) + k * stats["comaj"]
-        assert flag_major_index(tau, s) == stats["fmaj"]
     else:
         assert "fmaj" not in stats
-        with pytest.raises(InvalidInputError):
-            flag_major_index(tau, s)
 
 
 def test_colored_extensions_count_and_determinism():

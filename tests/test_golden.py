@@ -1,11 +1,14 @@
-"""The identity layer's CLI output over the corpus, against a golden file.
+"""The identity layer's CLI output, against a golden file.
 
 golden_verify_all.txt holds, for every CORPUS pair at caps x=3,t=5 and
 x=2,t=3, a header line "name caps exit=code" and the verify-all JSON line
-the CLI printed.  A refactor of series or identities must leave every byte
-of it alone.  To rewrite the file after a change that is meant to alter the
-output, run `PYTHONPATH=src python tests/test_golden.py --write` and say why
-in the change log.
+the CLI printed; then, for KN1 and KN on the antichains with k <= 3 colors
+and p <= 3 elements at --tcap 0 and 4, a header line
+"identity k= p= tcap= exit=code" and the verify JSON line.  A refactor of
+series or identities must leave every byte of it alone.  To rewrite the
+file after a change that is meant to alter the output, run
+`PYTHONPATH=src python tests/test_golden.py --write` and say why in the
+change log.
 """
 
 import contextlib
@@ -21,17 +24,31 @@ GOLDEN = Path(__file__).with_name("golden_verify_all.txt")
 CAPS = ("x=3,t=5", "x=2,t=3")
 
 
-def _render():
-    lines = []
+def _commands():
+    """(header, argv) for every command the golden file records."""
     for caps in CAPS:
         for name, P, s in CORPUS:
             spec = "json:" + json.dumps(poset_to_document(P))
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = cli.main(["verify-all", "--poset", spec,
-                                 "--s", ",".join(map(str, s)), "--caps", caps])
-            lines.append(f"{name} {caps} exit={code}\n")
-            lines.append(out.getvalue())
+            yield f"{name} {caps}", ["verify-all", "--poset", spec,
+                                     "--s", ",".join(map(str, s)),
+                                     "--caps", caps]
+    for identity in ("KN1", "KN"):
+        for k in (1, 2, 3):
+            for p in (0, 1, 2, 3):
+                for tcap in (0, 4):
+                    yield (f"{identity} k={k} p={p} tcap={tcap}",
+                           ["verify", "--identity", identity, "--k", str(k),
+                            "--p", str(p), "--tcap", str(tcap)])
+
+
+def _render():
+    lines = []
+    for header, argv in _commands():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        lines.append(f"{header} exit={code}\n")
+        lines.append(out.getvalue())
     return "".join(lines)
 
 

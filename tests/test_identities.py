@@ -1,17 +1,21 @@
 """Coefficientwise identity checks and the refined descent polynomials."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, settings
 
 from lhall import (InvalidInputError, Polynomial, SeriesContext, cone_points,
-                   eulerian_polynomial, first_mismatch, kn_descent_polynomial,
-                   make_antichain, make_chain, qr_decompose, verify_all,
-                   verify_identity, verify_kn, verify_kn1)
+                   count_linear_extensions, eulerian_polynomial,
+                   first_mismatch, kn_descent_polynomial, make_antichain,
+                   make_chain, qr_decompose, verify_all, verify_identity,
+                   verify_kn, verify_kn1)
 from lhall import identities
 from lhall.corpus import corpus_get
 from lhall.identities import IDENTITY_NAMES, SUITE
-from oracles import box_points, classical_eulerian, series_first_mismatch
+from oracles import (box_points, classical_eulerian, posets,
+                     series_first_mismatch, smaps)
 
 SAMPLE = ("chain2-nat-s12", "chain2-rev-s21", "antichain2-s22", "vee-s112",
           "n-poset-s1212", "unrankable-s212")
@@ -77,6 +81,20 @@ def test_skip_semantics():
     assert verify_identity("R2", empty, ()).status == "skip"
     assert verify_identity("R4", empty, ()).status == "skip"
     assert verify_identity("R1", empty, ()).passed
+
+
+@settings(max_examples=40, deadline=None)
+@given(posets(max_p=4).flatmap(lambda P: smaps(P).map(lambda s: (P, s))))
+def test_every_extension_side_sums_each_extension_once(case):
+    # every identity with an extension side that runs walks all e(P) prod(s)
+    # colored extensions (a failed series report carries no details)
+    P, s = case
+    expected = count_linear_extensions(P) * prod(s)
+    for name in SUITE + ("KN1", "KN"):
+        report = verify_identity(name, P, s, capx=2, capt=3)
+        if report.status != "skip":
+            assert report.details.get("extensions") == expected, (
+                name, report.status, report.witness)
 
 
 def test_verify_identity_validates_input():

@@ -279,6 +279,8 @@ def test_verify_ordinal_interlacing():
         verify_ordinal_interlacing((2,), (1, 2))
     with pytest.raises(InvalidInputError):
         verify_ordinal_interlacing((0,), (1,))
+    with pytest.raises(InvalidInputError):
+        verify_ordinal_interlacing((), ())
 
 
 def test_all_labeled_posets_counts():

@@ -182,3 +182,15 @@ def test_packed_first_mismatch_matches_tuple_oracle(data):
         key, ca, cb = expected
         exps = {n: e for n, e in zip(ctx.names, key) if e}
         assert got == (exps, ca, cb)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_key_product_matches_exponent_sums(data):
+    ctx = data.draw(contexts())
+    factors = data.draw(st.lists(exponent_tuples(ctx), max_size=5))
+    keys = [ctx.key_of(dict(zip(ctx.names, f))) for f in factors]
+    total = [sum(column) for column in zip(*factors)] or [0] * len(ctx.names)
+    expected = (None if None in keys
+                else ctx.key_of(dict(zip(ctx.names, total))))
+    assert ctx.key_product(keys) == expected
