@@ -34,8 +34,8 @@ from .posets import (LabeledPoset, RankInfo, count_linear_extensions,
                      poset_from_document, poset_to_document, sign_rank,
                      validate_smap)
 from .reports import VerificationReport, jsonable
-from .roots import (interlacing_failure, interleaves, is_interlacing_sequence,
-                    is_real_rooted, isolate_real_roots, real_root_count)
+from .roots import (interlacing_failure, interleaves, is_real_rooted,
+                    isolate_real_roots, real_root_count)
 from .series import Series, SeriesContext, first_mismatch, to_records
 
 __version__ = "0.1.0"

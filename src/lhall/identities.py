@@ -67,7 +67,7 @@ def _series_report(name, caps, lhs, rhs, details=None):
                                   details=details or {})
     exps, ca, cb = mism
     return VerificationReport(
-        name, "fail", caps=caps, compared=compared,
+        name, "fail", caps=caps, compared=compared, details=details or {},
         witness={"monomial": exps, "lhs": ca, "rhs": cb},
         reason="series sides disagree at the stated monomial")
 
@@ -383,6 +383,9 @@ def _verify_EUL2(P, s, capx, capt, max_points, max_count):
     minimal element has a single color, the Eulerian polynomial itself (the
     |D| distribution) agrees with the |D3| one.
     """
+    if P.p == 0:
+        return VerificationReport(
+            "EUL2", "skip", reason="degenerate for the empty poset")
     a = {}
     b = {}
     c = {}

@@ -1,11 +1,20 @@
 """Real-rootedness, root isolation and interleaving, exactly.
 
 Everything here runs on integer coefficient lists (constant term first).
-Root counts come from Sturm chains built with sign-corrected fraction-free
-remainders, multiplicities from a squarefree decomposition, and comparisons
-between roots of different polynomials from one shared list of isolating
-intervals, so equality of two algebraic numbers is decided without any
-numerical approximation.
+Every answer is read off a signed remainder sequence p, q, -rem(p, q), ...
+built with sign-corrected fraction-free remainders: its sign variations at
+-infinity minus those at +infinity are the Cauchy index Ind(q/p)
+(Sturm-Sylvester).  With q = p' that is the number of distinct real roots
+of p, and the sequence ends in gcd(p, p').
+
+Interleaving needs no root at all.  Once the degrees fit, the common factor
+gcd(f, g) is divided out, leaving coprime f1 of degree n and g1.  Then f
+interleaves g exactly when n = 0, or Ind(rem(g1, f1)/f1) = -n when g1 has
+degree n too, or Ind(f1/g1) = n + 1 when it has degree n + 1: every root of
+the denominator is simple and is a jump of the same direction, which puts
+one root of the numerator strictly between each two of them.  Root
+isolation bisects with Sturm chains at rational points, so nothing is ever
+approximated numerically.
 """
 
 from __future__ import annotations
@@ -48,23 +57,6 @@ def _derivative(c):
     return _strip([i * ci for i, ci in enumerate(c)][1:])
 
 
-def _sub(a, b):
-    n = max(len(a), len(b))
-    return _strip([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
-                   for i in range(n)])
-
-
-def _mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _strip(out)
-
-
 def _rem_signfixed(a, b):
     """Primitive remainder of a mod b carrying the sign of the true remainder.
 
@@ -100,92 +92,38 @@ def _poly_gcd(a, b):
 
 
 def _div_exact(a, b):
-    """Quotient a / b when b divides a; anything inexact is an internal bug."""
-    a = [Fraction(ci) for ci in _strip(a)]
-    b = _strip(b)
-    if not b:
-        raise InvalidInputError("division by the zero polynomial")
-    out = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    lb = b[-1]
-    while len(a) >= len(b):
-        k = len(a) - len(b)
-        qc = a[-1] / lb
+    """Quotient a / b for a primitive divisor b of a.
+
+    By Gauss's lemma the quotient is integral, so every step divides
+    exactly; a remainder anywhere is an internal bug.
+    """
+    a = list(a)
+    out = [0] * (len(a) - len(b) + 1)
+    for k in reversed(range(len(out))):
+        qc, r = divmod(a[k + len(b) - 1], b[-1])
+        if r:
+            raise InternalCheckError("inexact polynomial division")
         out[k] = qc
         for i, bi in enumerate(b):
             a[k + i] -= qc * bi
-        a.pop()
-        while a and a[-1] == 0:
-            a.pop()
     if any(a):
         raise InternalCheckError("inexact polynomial division")
-    ints = []
-    for ci in out:
-        if ci.denominator != 1:
-            raise InternalCheckError("inexact polynomial division")
-        ints.append(int(ci))
-    return _strip(ints)
-
-
-def _positive_leading(c):
-    if c and c[-1] < 0:
-        return [-ci for ci in c]
-    return list(c)
-
-
-def _squarefree_part(c):
-    c = _positive_leading(_primitive(_strip(c)))
-    if len(c) <= 1:
-        return c
-    g = _poly_gcd(c, _derivative(c))
-    if len(g) == 1:
-        return c
-    return _div_exact(c, g)
-
-
-def _yun(c):
-    """Squarefree decomposition [(u, m)]: c is a constant times prod u^m."""
-    c = _positive_leading(_primitive(_strip(c)))
-    if len(c) <= 1:
-        return []
-    dc = _derivative(c)
-    g = _poly_gcd(c, dc)
-    if len(g) == 1:
-        return [(tuple(c), 1)]
-    b = _div_exact(c, g)
-    d = _sub(_div_exact(dc, g), _derivative(b))
-    out = []
-    m = 1
-    while len(b) > 1:
-        u = _poly_gcd(b, d)
-        if len(u) > 1:
-            out.append((tuple(u), m))
-        b = _div_exact(b, u)
-        d = _sub(_div_exact(d, u), _derivative(b))
-        m += 1
     return out
 
 
-@lru_cache(maxsize=None)
-def _yun_cached(c):
-    return tuple(_yun(list(c)))
+def _signed_remainders(p, q):
+    """The signed remainder sequence p, q, -rem(p, q), ... up to its last
+    nonzero member, each one primitive."""
+    chain = [p]
+    while q:
+        chain.append(q)
+        p, q = q, [-ci for ci in _rem_signfixed(p, q)]
+    return chain
 
 
-@lru_cache(maxsize=None)
 def _sturm(c):
-    """Sturm chain of c as a tuple of primitive integer tuples."""
-    first = tuple(_primitive(_strip(c)))
-    if not first:
-        raise InvalidInputError("no Sturm chain for the zero polynomial")
-    chain = [first]
-    d = _derivative(first)
-    if not d:
-        return tuple(chain)
-    chain.append(tuple(_primitive(d)))
-    while True:
-        r = _rem_signfixed(chain[-2], chain[-1])
-        if not r:
-            return tuple(chain)
-        chain.append(tuple(-ci for ci in r))
+    """Sturm chain of c; it ends in gcd(c, c') up to a nonzero factor."""
+    return _signed_remainders(c, _primitive(_derivative(c)))
 
 
 def _sign_at(c, num, den):
@@ -215,13 +153,13 @@ def _vars_at(chain, point):
                        for c in chain)
 
 
-def _vars_pinf(chain):
-    return _variations((c[-1] > 0) - (c[-1] < 0) for c in chain)
-
-
-def _vars_ninf(chain):
-    return _variations(((c[-1] > 0) - (c[-1] < 0)) * (-1) ** (len(c) - 1)
-                       for c in chain)
+def _index(chain):
+    """Cauchy index Ind(q/p) of a signed remainder sequence p, q, ...: the
+    jumps of q/p from -inf to +inf minus those from +inf to -inf, read off
+    as the sign variations at -inf minus those at +inf."""
+    lead = [(c[-1] > 0) - (c[-1] < 0) for c in chain]
+    at_minus = [sg * (-1) ** (len(c) - 1) for sg, c in zip(lead, chain)]
+    return _variations(at_minus) - _variations(lead)
 
 
 def _count_in(chain, lo, hi):
@@ -233,8 +171,8 @@ def _isolate(w):
     """Isolating intervals for the distinct real roots of squarefree w."""
     if len(w) <= 1:
         return ()
-    chain = _sturm(tuple(w))
-    total = _vars_ninf(chain) - _vars_pinf(chain)
+    chain = _sturm(w)
+    total = _index(chain)
     if total == 0:
         return ()
     bound = 1
@@ -271,16 +209,17 @@ def isolate_real_roots(poly):
     c = _canonical(poly)
     if not c:
         raise InvalidInputError("cannot isolate roots of the zero polynomial")
-    return _isolate(_squarefree_part(list(c)))
+    return _isolate(_div_exact(c, _poly_gcd(c, _derivative(c))))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _real_rooted(c):
+    """Ind(c'/c) counts the distinct real roots; the distinct roots of c are
+    the roots of c / gcd(c, c'), and the Sturm chain ends in that gcd."""
     if len(c) <= 1:
         return True
-    w = _squarefree_part(list(c))
-    chain = _sturm(tuple(w))
-    return _vars_ninf(chain) - _vars_pinf(chain) == len(w) - 1
+    chain = _sturm(c)
+    return _index(chain) == len(c) - len(chain[-1])
 
 
 def is_real_rooted(poly):
@@ -293,38 +232,10 @@ def real_root_count(poly):
     c = _canonical(poly)
     if not c:
         raise InvalidInputError("the zero polynomial has every number as a root")
-    w = _squarefree_part(list(c))
-    if len(w) <= 1:
-        return 0
-    chain = _sturm(tuple(w))
-    return _vars_ninf(chain) - _vars_pinf(chain)
+    return _index(_sturm(c))
 
 
-def _aligned_roots(fk, gk):
-    """Roots of f and g with multiplicity, as ascending shared interval indices.
-
-    Indices point into one list of isolating intervals for the roots of f*g,
-    so two roots are equal exactly when their indices agree.
-    """
-    intervals = _isolate(_squarefree_part(_mul(list(fk), list(gk))))
-    out = []
-    for c in (fk, gk):
-        counts = {}
-        for u, mult in _yun_cached(tuple(c)):
-            chain = _sturm(u)
-            for idx, (lo, hi) in enumerate(intervals):
-                if _count_in(chain, lo, hi):
-                    counts[idx] = counts.get(idx, 0) + mult
-        roots = []
-        for idx in sorted(counts):
-            roots.extend([idx] * counts[idx])
-        if len(roots) != len(c) - 1:
-            raise InternalCheckError("root multiplicities do not add up")
-        out.append(roots)
-    return out
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _interleaves(fk, gk):
     if not fk or not gk:
         return True
@@ -337,18 +248,14 @@ def _interleaves(fk, gk):
     n, m = len(fk) - 1, len(gk) - 1
     if not m - 1 <= n <= m:
         return False
+    h = _poly_gcd(fk, gk)
+    f1, g1 = _div_exact(fk, h), _div_exact(gk, h)
+    n = len(f1) - 1
     if n == 0:
         return True
-    roots_f, roots_g = _aligned_roots(fk, gk)
-    a = roots_f[::-1]
-    b = roots_g[::-1]
-    for i in range(min(n, m)):
-        if a[i] > b[i]:
-            return False
-    for i in range(min(n, m - 1)):
-        if b[i + 1] > a[i]:
-            return False
-    return True
+    if len(g1) == len(f1):
+        return _index(_signed_remainders(f1, _rem_signfixed(g1, f1))) == -n
+    return _index(_signed_remainders(g1, f1)) == n + 1
 
 
 def interleaves(f, g):
@@ -372,7 +279,3 @@ def interlacing_failure(polys):
             if not _interleaves(keys[i], keys[j]):
                 return (i, j)
     return None
-
-
-def is_interlacing_sequence(polys):
-    return interlacing_failure(polys) is None

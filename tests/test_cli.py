@@ -202,6 +202,19 @@ def test_verify_skip_is_success(capsys):
     assert lines[0]["status"] == "skip"
 
 
+def test_empty_poset_skips_eul2_and_recipr(capsys):
+    code, lines = run_json(capsys, "verify-all", "--poset", "antichain:0",
+                           "--s", "")
+    assert code == 0 and lines[0]["failed"] == 0
+    reasons = {r["identity"]: r["reason"] for r in lines[0]["reports"]
+               if r["status"] == "skip"}
+    for name in ("EUL2", "RECIPR"):
+        assert reasons[name] == "degenerate for the empty poset"
+    code, lines = run_json(capsys, "verify", "--identity", "RECIPR",
+                           "--poset", "antichain:0", "--s", "")
+    assert code == 0 and lines[0]["status"] == "skip"
+
+
 def test_verify_kn_without_poset(capsys):
     code, lines = run_json(capsys, "verify", "--identity", "KN1",
                            "--k", "1", "--p", "1", "--tcap", "3")

@@ -87,7 +87,7 @@ def test_skip_semantics():
 @given(posets(max_p=4).flatmap(lambda P: smaps(P).map(lambda s: (P, s))))
 def test_every_extension_side_sums_each_extension_once(case):
     # every identity with an extension side that runs walks all e(P) prod(s)
-    # colored extensions (a failed series report carries no details)
+    # colored extensions
     P, s = case
     expected = count_linear_extensions(P) * prod(s)
     for name in SUITE + ("KN1", "KN"):
@@ -195,6 +195,9 @@ def test_dropped_point_gives_the_smallest_witness(monkeypatch, name):
     monkeypatch.setattr(identities, "enumerate_points", drop_one)
     report = verify_identity(name, P, s, capx, capt)
     assert report.status == "fail" and len(dropped) == 1
+    # the failed report still says how many extensions it walked
+    assert report.details["extensions"] == (count_linear_extensions(P)
+                                            * prod(s))
 
     if name == "F":
         hi, cap_t = [(capx + 1) * v - 1 for v in s], None

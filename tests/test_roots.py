@@ -1,12 +1,14 @@
 """Sturm-chain root isolation, real-rootedness and interleaving."""
 
+from fractions import Fraction
+
 import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from lhall import (InvalidInputError, Polynomial, interlacing_failure,
-                   interleaves, is_interlacing_sequence, is_real_rooted,
-                   isolate_real_roots, real_root_count)
+                   interleaves, is_real_rooted, isolate_real_roots,
+                   real_root_count)
 from oracles import classical_eulerian
 
 _t = sympy.Symbol("t")
@@ -105,9 +107,90 @@ def test_classical_eulerian_family_interlaces():
 
 def test_interlacing_sequence():
     one, t = Polynomial((1,)), Polynomial((0, 1))
-    assert is_interlacing_sequence([one, t, t])
     assert interlacing_failure([one, t, t]) is None
     bad = [Polynomial((3, 4, 1)), Polynomial((2, 1))]
     assert interlacing_failure(bad) == (0, 1)
-    assert not is_interlacing_sequence(bad)
-    assert is_interlacing_sequence([])
+
+
+# --- interleaving against sympy's exact roots ------------------------------
+
+def _oracle_interleaves(f, g):
+    """The definition itself, on sympy's real roots with multiplicity."""
+    if f.is_zero() or g.is_zero():
+        return True
+    alpha = sorted(_sympy_real_roots(f.coeffs), reverse=True)
+    beta = sorted(_sympy_real_roots(g.coeffs), reverse=True)
+    n, m = len(alpha), len(beta)
+    if not m - 1 <= n <= m:
+        return False
+    return (all(alpha[i] <= beta[i] for i in range(n))
+            and all(beta[i + 1] <= alpha[i] for i in range(min(n, m - 1))))
+
+
+def _from_factors(factors):
+    """prod (b t + a) over the (a, b) pairs: root -a/b, positive leading."""
+    f = Polynomial((1,))
+    for a, b in factors:
+        f = f * Polynomial((a, b))
+    return f
+
+
+_factors = st.tuples(st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def _factor_lists(draw, degrees):
+    """One factor list per degree, sharing a small pool of linear factors so
+    that common and repeated roots are frequent."""
+    pool = draw(st.lists(_factors, min_size=1, max_size=4))
+    factor = st.one_of(st.sampled_from(pool), _factors)
+    return [draw(st.lists(factor, min_size=d, max_size=d)) for d in degrees]
+
+
+@st.composite
+def _interleaving_candidates(draw):
+    """(f, g) of degrees 0..8, drawn with deg g - deg f in {-1, 0, 1, 2}.
+
+    Half the draws then deal all their roots, in descending order, to g and
+    f in turn, which makes f interleave g, and may replace one root of f;
+    the other half keep both root lists as drawn.
+    """
+    gap = draw(st.sampled_from((-1, 0, 1, 2)))
+    n = draw(st.integers(max(0, -gap), min(8, 8 - gap)))
+    f, g = draw(_factor_lists((n, n + gap)))
+    if draw(st.booleans()):
+        merged = sorted(f + g, key=lambda ab: Fraction(ab[0], ab[1]))
+        g, f = merged[0::2], merged[1::2]
+        if f and draw(st.booleans()):
+            f[draw(st.integers(0, len(f) - 1))] = draw(_factors)
+    return _from_factors(f), _from_factors(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_interleaving_candidates())
+def test_interleaves_matches_the_root_definition(pair):
+    f, g = pair
+    assert interleaves(f, g) == _oracle_interleaves(f, g)
+
+
+@st.composite
+def _families(draw):
+    """2..5 members of degree d or d + 1 from a shared pool of factors,
+    sorted by degree in half the draws; one in five has a zero member."""
+    d = draw(st.integers(0, 3))
+    degrees = draw(st.lists(st.sampled_from((d, d + 1)), min_size=2,
+                            max_size=5))
+    if draw(st.booleans()):
+        degrees.sort()
+    family = [_from_factors(fs) for fs in draw(_factor_lists(degrees))]
+    if draw(st.integers(0, 4)) == 0:
+        family[draw(st.integers(0, len(family) - 1))] = Polynomial(())
+    return family
+
+
+@settings(max_examples=200, deadline=None)
+@given(_families())
+def test_interlacing_failure_matches_the_root_definition(family):
+    expected = next(((i, j) for j in range(len(family)) for i in range(j)
+                     if not _oracle_interleaves(family[i], family[j])), None)
+    assert interlacing_failure(family) == expected
