@@ -34,7 +34,8 @@ from .colored import (ColoredPermutation, colored_extensions, descent_profile,
                       eulerian_polynomial, statistics)
 from .errors import InvalidInputError, LhallError
 from .identities import (DEFAULT_CAPT, DEFAULT_CAPX, IDENTITY_NAMES,
-                         kn_descent_polynomial, verify_identity)
+                         kn_descent_polynomial, verify_identity, verify_kn,
+                         verify_kn1)
 from .lattice import (ehrhart_counts, eulerian_via_ehrhart, scan_gamma,
                       verify_bijection, verify_ordinal_interlacing)
 from .posets import (linear_extensions, make_antichain, make_chain,
@@ -230,12 +231,12 @@ def cmd_verify(args):
                              "or KN")
         if args.k is None or args.p is None:
             raise LhallError("--k and --p are required when no poset is given")
-        P = make_antichain(args.p)
-        s = validate_smap(P, (args.k,) * args.p)
+        verify = verify_kn1 if args.identity == "KN1" else verify_kn
+        report = verify(args.k, args.p, capt=capt)
     else:
         P, bundled = parse_poset(args.poset)
         s = resolve_smap(args.s, bundled, P)
-    report = verify_identity(args.identity, P, s, capx=capx, capt=capt)
+        report = verify_identity(args.identity, P, s, capx=capx, capt=capt)
     _emit(report.to_json(), args.format)
     return 1 if report.failed else 0
 
@@ -294,9 +295,10 @@ def cmd_dual(args):
 
 
 def cmd_kn_roots(args):
-    if args.samples < 0 or args.max_num < 0 or args.max_den < 1:
-        raise InvalidInputError("--samples and --max-num must be nonnegative "
-                                "and --max-den positive")
+    if (args.k < 1 or args.p < 0 or args.samples < 0 or args.max_num < 0
+            or args.max_den < 1):
+        raise InvalidInputError("--k and --max-den must be positive, and "
+                                "--p, --samples and --max-num nonnegative")
     rng = random.Random(args.seed)
     failures = []
     polys = []

@@ -13,12 +13,10 @@ import itertools
 from dataclasses import dataclass
 from math import factorial, lcm, prod
 
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError
 from .polys import Polynomial
-from .posets import (_cap, _check_dp, _cover_masks, count_linear_extensions,
-                     linear_extensions, validate_smap)
-
-DEFAULT_COLORED_CAP = 5_000_000
+from .posets import (_check_dp, _check_walk, _cover_masks, _walk_extensions,
+                     _word_table, validate_smap)
 
 
 @dataclass(frozen=True)
@@ -110,14 +108,9 @@ def colored_extensions(P, s, max_count=None):
     LHALL_MAX_COLORED environment variable, else DEFAULT_COLORED_CAP).
     """
     s = validate_smap(P, s)
-    limit = _cap(max_count, "LHALL_MAX_COLORED", DEFAULT_COLORED_CAP)
-    total = count_linear_extensions(P) * prod(s)
-    if total > limit:
-        raise ResourceLimitError(
-            f"{total} colored extensions exceed the cap {limit}; "
-            "raise LHALL_MAX_COLORED")
+    _check_walk(P, prod(s), max_count)
     ranges = [range(v) for v in s]
-    for pi in linear_extensions(P):
+    for pi in _walk_extensions(P):
         for colors in itertools.product(*ranges):
             yield ColoredPermutation(pi, colors)
 
@@ -156,52 +149,6 @@ def x_order(P, s):
     return tuple(_pairs_by_ratio(validate_smap(P, s), 0))
 
 
-def _word_table(P, need, pairs, bits):
-    """Weights of the words that place every element of P, by last pair.
-
-    A word lists each element once, each with one of its pairs; x may come
-    only after every element of the bitmask need[x].  pairs[x] holds a
-    (rank, first) entry per color of x, where first is the weight of the
-    word when that pair opens it.  Every later step to a lower rank
-    multiplies the weight by t.  Weights are polynomials in t packed into
-    one integer, `bits` bits per coefficient, so t is a shift.  The DP runs
-    one layer of placed down-sets at a time: a row holds the weight per rank
-    of the last pair, and its prefix sums split the weight of a new pair
-    into the part from lower ranks (no step down) and the rest (times t).
-    """
-    size = sum(len(v) for v in pairs)
-    layer = {}
-    for x in P.elements:
-        if not need[x]:
-            row = layer.setdefault(1 << (x - 1), [0] * size)
-            for j, first in pairs[x]:
-                row[j] += first
-    for _ in range(P.p - 1):
-        nxt = {}
-        for S, row in layer.items():
-            lower = list(itertools.accumulate(row, initial=0))
-            total = lower[-1]
-            for x in P.elements:
-                bit = 1 << (x - 1)
-                if S & bit or need[x] & ~S:
-                    continue
-                T = S | bit
-                target = nxt.get(T)
-                if target is None:
-                    target = nxt[T] = [0] * size
-                for j, _ in pairs[x]:
-                    lo = lower[j]
-                    target[j] += lo + ((total - lo) << bits)
-        layer = nxt
-    (row,) = layer.values()
-    return row
-
-
-def _coefficient_bits(P, s):
-    """Bits that hold any coefficient: none exceeds p! * prod(s)."""
-    return (factorial(P.p) * prod(s)).bit_length()
-
-
 def _unpack(packed, bits):
     mask = (1 << bits) - 1
     coeffs = []
@@ -211,30 +158,45 @@ def _unpack(packed, bits):
     return Polynomial(tuple(coeffs))
 
 
-def eulerian_polynomial(P, s, max_steps=None):
-    """Generating polynomial of the descent number over colored extensions.
+def _descent_polynomial(P, s, shift=0, start=False, end=True, weight=None,
+                        max_steps=None):
+    """Generating polynomial of a descent number over colored extensions.
 
-    A forward DP over (placed down-set, x_order rank of the last (color,
-    element) pair): a step adds a descent exactly when the rank falls, and a
-    positive last color adds the descent at p.  This is the transfer of
-    Stanley's fundamental lemma of P-partitions (EC1 3.15); on chains and
-    antichains it is the s-Eulerian recurrence of Savage and Visontai
-    (Trans. AMS 2015).  The DP is refused up front when a bound on the
-    down-sets of P times sum(s) exceeds max_steps (else LHALL_MAX_DP,
+    A forward DP over (placed down-set, rank of the last pair), with the
+    pairs (k, x), shift <= k < s(x) + shift, ranked by (k/s(x), x): a step
+    adds a descent exactly when the rank falls.  With start, a pair with
+    k = shift that opens the word adds a descent; with end, a last pair
+    with k > shift (a positive color) adds one.  A word weighs the product
+    of weight(k, x), a nonnegative integer, over its pairs (1 by default).
+    This is the transfer of Stanley's fundamental lemma of P-partitions
+    (EC1 3.15); on chains and antichains it is the s-Eulerian recurrence of
+    Savage and Visontai (Trans. AMS 2015).  Refused up front when a bound on
+    the down-sets of P times sum(s) exceeds max_steps (else LHALL_MAX_DP,
     default DEFAULT_DP_CAP).
     """
-    s = validate_smap(P, s)
     _check_dp(P, sum(s), max_steps)
     if not P.p:
         return Polynomial((1,))
-    order = _pairs_by_ratio(s, 0)
-    bits = _coefficient_bits(P, s)
+    order = _pairs_by_ratio(s, shift)
+    weights, sums = None, s
+    if weight is not None:
+        weights = [weight(k, x) for k, x in order]
+        sums = [sum(weight(k, x) for k in range(shift, v + shift))
+                for x, v in enumerate(s, 1)]
+    # no coefficient exceeds the weight of all words, p! * prod(sums)
+    bits = (factorial(P.p) * prod(sums)).bit_length()
     pairs = [[] for _ in range(P.p + 1)]
     for j, (k, x) in enumerate(order):
-        pairs[x].append((j, 1))
-    row = _word_table(P, _cover_masks(P)[0], pairs, bits)
-    return _unpack(sum(w << bits if order[j][0] else w
+        pairs[x].append((j, 1 << bits if start and k == shift else 1))
+    row = _word_table(P, _cover_masks(P)[0], pairs, bits, weights)
+    return _unpack(sum(w << bits if end and order[j][0] > shift else w
                        for j, w in enumerate(row)), bits)
+
+
+def eulerian_polynomial(P, s, max_steps=None):
+    """Generating polynomial of |D| over colored extensions: the default
+    _descent_polynomial, capped the same way."""
+    return _descent_polynomial(P, validate_smap(P, s), max_steps=max_steps)
 
 
 def refined_eulerian(P, s, max_steps=None):
@@ -255,7 +217,7 @@ def refined_eulerian(P, s, max_steps=None):
     if not P.p:
         return {}
     order = _pairs_by_ratio(s, 0)
-    bits = _coefficient_bits(P, s)
+    bits = (factorial(P.p) * prod(s)).bit_length()
     top = len(order) - 1
     pairs = [[] for _ in range(P.p + 1)]
     for j, (k, x) in enumerate(order):

@@ -24,9 +24,10 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, groupby
+from math import prod
 from operator import attrgetter, getitem
 
-from .colored import colored_extensions, descent_profile
+from .colored import _descent_polynomial, colored_extensions, descent_profile
 from .errors import InvalidInputError
 from .lattice import enumerate_points, qr_decompose, verify_recipr
 from .polys import Polynomial, monomial
@@ -381,29 +382,18 @@ def _verify_EUL2(P, s, capx, capt, max_points, max_count):
 
     Always: the distribution of |D4| equals t times that of |D3|.  When every
     minimal element has a single color, the Eulerian polynomial itself (the
-    |D| distribution) agrees with the |D3| one.
+    |D| distribution) agrees with the |D3| one.  |D4| adds a descent at 0
+    when the first color is zero, and |D3| ranks the shifted colors r + 1
+    with no descent at p.  Each is counted by a down-set DP capped by
+    LHALL_MAX_DP, and every colored extension counts once in A(1).
     """
     if P.p == 0:
         return VerificationReport(
             "EUL2", "skip", reason="degenerate for the empty poset")
-    a = {}
-    b = {}
-    c = {}
-    extensions = 0
-    for tau in colored_extensions(P, s, max_count):
-        extensions += 1
-        prof = descent_profile(tau, s)
-        a[len(prof.d)] = a.get(len(prof.d), 0) + 1
-        b[len(prof.d4)] = b.get(len(prof.d4), 0) + 1
-        c[len(prof.d3)] = c.get(len(prof.d3), 0) + 1
-
-    def poly(hist):
-        out = Polynomial()
-        for k, v in hist.items():
-            out = out + monomial(k, v)
-        return out
-
-    A, B, C = poly(a), poly(b), poly(c)
+    A = _descent_polynomial(P, s)
+    B = _descent_polynomial(P, s, start=True)
+    C = _descent_polynomial(P, s, shift=1, end=False)
+    extensions = int(A(1))
     minimal_one = all(s[x - 1] == 1 for x in P.minimal_elements())
     details = {"eulerian": A, "minimal_colors_one": minimal_one,
                "extensions": extensions, "a_matches_d3": A == C}
@@ -578,41 +568,47 @@ def verify_all(P, s, names=SUITE, capx=DEFAULT_CAPX, capt=DEFAULT_CAPT,
             for n in names]
 
 
+def _check_k(k):
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise InvalidInputError(f"k = {k!r} is not a positive integer")
+
+
 def verify_kn1(k, p, capt=6, max_points=None, max_count=None):
+    _check_k(k)
     return verify_identity("KN1", make_antichain(p), (k,) * p, capt=capt,
                            max_points=max_points, max_count=max_count)
 
 
 def verify_kn(k, p, capt=6, max_points=None, max_count=None):
+    _check_k(k)
     return verify_identity("KN", make_antichain(p), (k,) * p, capt=capt,
                            max_points=max_points, max_count=max_count)
 
 
-def kn_descent_polynomial(k, p, q_values, max_count=None):
+def kn_descent_polynomial(k, p, q_values, max_steps=None):
     """The color-refined descent polynomial at fixed color weights.
 
     Over all k-colored permutations of an antichain on p elements, sum
     t^des weighted by the product of q_values[x - 1]^(color of x).  Weights
-    must be nonnegative rationals; the result is a polynomial in t.
+    must be nonnegative rationals; the result is a polynomial in t.  With
+    q_x = a/b, color c weighs the integer a^c b^(k-1-c) in the down-set DP,
+    capped like eulerian_polynomial, and prod(b^(k-1)) is divided out.
     """
+    _check_k(k)
     q_values = tuple(q_values)
     if len(q_values) != p:
         raise InvalidInputError(f"need {p} weights, got {len(q_values)}")
-    weights = []
-    for v in q_values:
-        if isinstance(v, float):
-            raise InvalidInputError("weights must be exact rationals, not floats")
-        w = Fraction(v)
-        if w < 0:
-            raise InvalidInputError("weights must be nonnegative")
-        weights.append(w)
+    if any(isinstance(v, float) for v in q_values):
+        raise InvalidInputError("weights must be exact rationals, not floats")
+    weights = [Fraction(v) for v in q_values]
+    if any(w < 0 for w in weights):
+        raise InvalidInputError("weights must be nonnegative")
     P = make_antichain(p)
-    s = (k,) * p
-    coeffs = [Fraction(0)] * (p + 2)
-    for tau in colored_extensions(P, s, max_count):
-        prof = descent_profile(tau, s)
-        w = Fraction(1)
-        for x in range(1, p + 1):
-            w *= weights[x - 1] ** tau.colors[x - 1]
-        coeffs[len(prof.d)] += w
-    return Polynomial(tuple(coeffs))
+
+    def weight(c, x):
+        w = weights[x - 1]
+        return w.numerator ** c * w.denominator ** (k - 1 - c)
+
+    A = _descent_polynomial(P, (k,) * p, weight=weight, max_steps=max_steps)
+    scale = prod(w.denominator for w in weights) ** (k - 1)
+    return Polynomial(tuple(c / scale for c in A.coeffs))

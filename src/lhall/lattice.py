@@ -9,6 +9,8 @@ saturated chain witnessing x < y in labels some cover must descend.
 
 from __future__ import annotations
 
+from itertools import zip_longest
+
 from .colored import (_pairs_by_ratio, eulerian_polynomial, refined_eulerian,
                       x_order)
 from .errors import InvalidInputError, ResourceLimitError
@@ -402,9 +404,8 @@ def verify_ordinal_interlacing(sizes, block_s, max_steps=None):
             witness={"pair": [list(order[i]), list(order[j])],
                      "polys": [family[i], family[j]]},
             reason="family member fails to interleave a later one")
-    total = Polynomial()
-    for member in family:
-        total = total + member
+    total = Polynomial(tuple(map(sum, zip_longest(
+        *(member.coeffs for member in family), fillvalue=0))))
     if total != eulerian_polynomial(P, s, max_steps):
         return VerificationReport(
             "ORDINAL", "fail", caps=caps,
@@ -429,7 +430,8 @@ def all_labeled_posets(p, max_p=None):
     """
     limit = _cap(max_p, "LHALL_MAX_POSET_ENUM", 6)
     if p > limit:
-        raise ResourceLimitError(f"p = {p} exceeds the poset enumeration cap {limit}")
+        raise ResourceLimitError(f"p = {p} exceeds the poset enumeration cap "
+                                 f"{limit}; raise LHALL_MAX_POSET_ENUM")
     states = [()]  # tuples of strictly-above masks, one per element
     for k in range(1, p + 1):
         n = k - 1

@@ -8,14 +8,15 @@ x < y gives the weak kind.  ``epsilon`` pins that convention down in one place.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 from math import prod
+from operator import mul
 
 from .errors import InvalidInputError, ResourceLimitError
 
-DEFAULT_EXTENSION_CAP = 10
-DEFAULT_COUNT_CAP = 16
+DEFAULT_COLORED_CAP = 5_000_000
 DEFAULT_DP_CAP = 4_000_000
 
 
@@ -304,64 +305,100 @@ def _cover_masks(P):
     return lower, upper
 
 
-def linear_extensions(P, max_p=None):
-    """Yield the linear extensions of P as tuples, in lexicographic order.
+def linear_extensions(P):
+    """The linear extensions of P as tuples, in lexicographic order.
 
-    pi is a linear extension when pi_i -< pi_j in P forces i < j.  There can
-    be p! of them, so p is capped up front (default DEFAULT_EXTENSION_CAP,
-    overridable by max_p or the LHALL_MAX_P environment variable).
+    pi is a linear extension when pi_i -< pi_j in P forces i < j.  As the
+    s = 1 case of colored_extensions, the walk is refused up front when e(P)
+    exceeds LHALL_MAX_COLORED (default DEFAULT_COLORED_CAP).
     """
-    limit = _cap(max_p, "LHALL_MAX_P", DEFAULT_EXTENSION_CAP)
-    if P.p > limit:
-        raise ResourceLimitError(f"p = {P.p} exceeds the extension cap {limit}")
-    indeg = [0] * (P.p + 1)
-    succ = [[] for _ in range(P.p + 1)]
-    for x, y in P.covers:
-        succ[x].append(y)
-        indeg[y] += 1
-    prefix = []
-
-    def rec(ready):
-        if len(prefix) == P.p:
-            yield tuple(prefix)
-            return
-        for x in sorted(ready):
-            prefix.append(x)
-            nxt = ready - {x}
-            for y in succ[x]:
-                indeg[y] -= 1
-                if indeg[y] == 0:
-                    nxt.add(y)
-            yield from rec(nxt)
-            for y in succ[x]:
-                indeg[y] += 1
-            prefix.pop()
-
-    yield from rec({x for x in P.elements if indeg[x] == 0})
+    _check_walk(P, 1, None)
+    return _walk_extensions(P)
 
 
-def count_linear_extensions(P, max_p=None):
-    """Number of linear extensions, by dynamic programming over down-sets.
+def _check_walk(P, colorings, max_count):
+    """Refuse a walk over e(P) * colorings colored extensions above the cap
+    max_count, else LHALL_MAX_COLORED, else DEFAULT_COLORED_CAP."""
+    limit = _cap(max_count, "LHALL_MAX_COLORED", DEFAULT_COLORED_CAP)
+    total = count_linear_extensions(P) * colorings
+    if total > limit:
+        raise ResourceLimitError(
+            f"{total} colored extensions exceed the cap {limit}; "
+            "raise LHALL_MAX_COLORED")
 
-    f(S) counts orderings of S that keep every element's down-set behind it;
-    summing over possible last elements gives the recursion.
+
+def _walk_extensions(P):
+    need, full = _cover_masks(P)[0], (1 << P.p) - 1
+
+    def rec(placed, prefix):
+        if placed == full:
+            yield prefix
+        for x in P.elements:
+            bit = 1 << (x - 1)
+            if not (placed & bit or need[x] & ~placed):
+                yield from rec(placed | bit, prefix + (x,))
+
+    return rec(0, ())
+
+
+def count_linear_extensions(P, max_steps=None):
+    """Number of linear extensions: _word_table with one pair per element
+    and bits = 0, which evaluates at t = 1.  Capped like every down-set DP
+    (_check_dp), with p sweep steps.
     """
-    limit = _cap(max_p, "LHALL_MAX_P_COUNT", DEFAULT_COUNT_CAP)
-    if P.p > limit:
-        raise ResourceLimitError(f"p = {P.p} exceeds the counting cap {limit}")
-    below = [0] * (P.p + 1)
+    _check_dp(P, P.p, max_steps)
+    if not P.p:
+        return 1
+    pairs = [[]] + [[(x - 1, 1)] for x in P.elements]
+    return sum(_word_table(P, _cover_masks(P)[0], pairs, 0))
+
+
+def _word_table(P, need, pairs, bits, weight=None):
+    """Weights of the words that place every element of P, by last pair.
+
+    A word lists each element once, each with one of its pairs; x may come
+    only after every element of the bitmask need[x].  pairs[x] holds a
+    (rank, first) entry per pair of x, where first is the weight of the
+    word when that pair opens it.  Every later step to a lower rank
+    multiplies the weight by t, and each pair of rank j by weight[j] when
+    given.  Weights are polynomials in t packed into one integer, `bits`
+    bits per coefficient, so t is a shift.  The DP runs one layer of placed
+    down-sets at a time: a row holds the weight per rank of the last pair,
+    and its prefix sums split the weight of a new pair into the part from
+    lower ranks (no step down) and the rest (times t).  A row multiplies in
+    the weight of its last pair only when it is read, once per row rather
+    than once per step.
+    """
+    size = sum(len(v) for v in pairs)
+    layer = {}
     for x in P.elements:
-        for y in _bits(P._above[x]):
-            below[y] |= 1 << (x - 1)
-    f = [0] * (1 << P.p)
-    f[0] = 1
-    for S in range(1, 1 << P.p):
-        total = 0
-        for x in _bits(S):
-            if below[x] & ~S == 0:
-                total += f[S ^ (1 << (x - 1))]
-        f[S] = total
-    return f[-1]
+        if not need[x]:
+            row = layer.setdefault(1 << (x - 1), [0] * size)
+            for j, first in pairs[x]:
+                row[j] += first
+    for _ in range(P.p - 1):
+        nxt = {}
+        for S, row in layer.items():
+            if weight is not None:
+                row = list(map(mul, row, weight))
+            lower = list(itertools.accumulate(row, initial=0))
+            total = lower[-1]
+            for x in P.elements:
+                bit = 1 << (x - 1)
+                if S & bit or need[x] & ~S:
+                    continue
+                T = S | bit
+                target = nxt.get(T)
+                if target is None:
+                    target = nxt[T] = [0] * size
+                for j, _ in pairs[x]:
+                    lo = lower[j]
+                    target[j] += lo + ((total - lo) << bits)
+        layer = nxt
+    (row,) = layer.values()
+    if weight is not None:
+        row = list(map(mul, row, weight))
+    return row
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,10 @@
 Everything here favors obviousness over speed: boxes are enumerated in full
 and filtered with Fraction comparisons over every strict relation of the
 order (not just the covers), descent sets are recomputed with exact
-division, Eulerian polynomials come from walking every colored extension,
-level counts from a depth-first walk over the points, classical
-Eulerian numbers from counting descents of uncolored permutations, and
-truncated series arithmetic on exponent tuples.
+division, Eulerian polynomials, plain or color-weighted, come from walking
+every colored extension, level counts from a depth-first walk over the
+points, classical Eulerian numbers from counting descents of uncolored
+permutations, and truncated series arithmetic on exponent tuples.
 """
 
 from fractions import Fraction
@@ -14,7 +14,7 @@ from itertools import permutations, product
 
 from hypothesis import strategies as st
 
-from lhall import from_relations, linear_extensions
+from lhall import from_relations, linear_extensions, make_antichain
 
 
 def strict_pairs(P):
@@ -100,6 +100,18 @@ def refined_by_extensions(P, s, order):
         if pi:
             buckets[(rpos[0], pi[0])][d] += 1
     return buckets
+
+
+def kn_by_extensions(k, p, q_values):
+    """Descent-number coefficients over the k-colored permutations of [p],
+    each weighted by the product of q_x^(color of x)."""
+    coeffs = [Fraction(0)] * (p + 1)
+    for pi, rpos, d in _colored_words(make_antichain(p), (k,) * p):
+        w = Fraction(1)
+        for x, r in zip(pi, rpos):
+            w *= Fraction(q_values[x - 1]) ** r
+        coeffs[d] += w
+    return coeffs
 
 
 def _ceil_div(a, b):

@@ -140,6 +140,8 @@ def test_kn_roots_rejects_empty_sampling_ranges(capsys):
     code, out, err = run(capsys, "kn-roots", "--k", "2", "--p", "2",
                          "--max-num", "-1")
     assert_unusable_input(code, err)
+    code, out, err = run(capsys, "kn-roots", "--k", "-1", "--p", "0")
+    assert_unusable_input(code, err)
 
 
 def test_cap_variable_that_is_not_an_integer(capsys, monkeypatch):
@@ -221,6 +223,9 @@ def test_verify_kn_without_poset(capsys):
     assert code == 0
     assert lines[0]["status"] == "pass"
     assert lines[0]["caps"]["t"] == 3
+    code, out, err = run(capsys, "verify", "--identity", "KN1",
+                         "--k", "-3", "--p", "0")
+    assert_unusable_input(code, err)
 
 
 def test_verify_requires_poset_for_most_identities(capsys):

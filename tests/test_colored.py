@@ -9,10 +9,11 @@ from lhall import (ColoredPermutation, InvalidInputError, Polynomial,
                    ResourceLimitError, colored_extensions,
                    count_linear_extensions, descent_profile,
                    eulerian_polynomial, make_antichain, make_chain,
-                   refined_eulerian, statistics, x_order)
-from oracles import (classical_eulerian, colored_perms, descent_sets_frac,
-                     eulerian_by_extensions, posets, refined_by_extensions,
-                     smaps_within)
+                   refined_eulerian, statistics, verify_identity, x_order)
+from lhall.colored import _descent_polynomial
+from oracles import (_colored_words, classical_eulerian, colored_perms,
+                     descent_sets_frac, eulerian_by_extensions, posets,
+                     refined_by_extensions, smaps_within)
 
 # colored extensions the brute-force oracles may walk per example
 ORACLE_BUDGET = 6_000
@@ -141,6 +142,25 @@ def test_refined_eulerian_matches_extension_walk(data):
     refined = refined_eulerian(P, s)
     assert list(refined) == list(order)
     assert refined == {g: Polynomial(tuple(h)) for g, h in expected.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_d3_and_d4_distributions_match_fraction_oracle(data):
+    # the |D3| and |D4| calls of EUL2, against the descent sets recomputed
+    # with exact division on every colored extension
+    P = data.draw(posets(min_p=1, max_p=5))
+    s = data.draw(smaps_within(P, ORACLE_BUDGET // count_linear_extensions(P),
+                               max_s=3))
+    d3, d4 = [0] * (P.p + 1), [0] * (P.p + 2)
+    for pi, rpos, _ in _colored_words(P, s):
+        colors = [r for _, r in sorted(zip(pi, rpos))]
+        _, _, D3, D4, _ = descent_sets_frac(pi, colors, s)
+        d3[len(D3)] += 1
+        d4[len(D4)] += 1
+    assert _descent_polynomial(P, s, shift=1, end=False) == Polynomial(tuple(d3))
+    assert _descent_polynomial(P, s, start=True) == Polynomial(tuple(d4))
+    assert verify_identity("EUL2", P, s).passed
 
 
 def test_eulerian_polynomial_frozen_values():

@@ -1,10 +1,10 @@
 """Coefficientwise identity checks and the refined descent polynomials."""
 
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from lhall import (InvalidInputError, Polynomial, SeriesContext, cone_points,
                    count_linear_extensions, eulerian_polynomial,
@@ -14,8 +14,8 @@ from lhall import (InvalidInputError, Polynomial, SeriesContext, cone_points,
 from lhall import identities
 from lhall.corpus import corpus_get
 from lhall.identities import IDENTITY_NAMES, SUITE
-from oracles import (box_points, classical_eulerian, posets,
-                     series_first_mismatch, smaps)
+from oracles import (box_points, classical_eulerian, kn_by_extensions,
+                     posets, series_first_mismatch, smaps)
 
 SAMPLE = ("chain2-nat-s12", "chain2-rev-s21", "antichain2-s22", "vee-s112",
           "n-poset-s1212", "unrankable-s212")
@@ -146,6 +146,26 @@ def test_kn_descent_polynomial_unit_weights():
             assert poly == eulerian_polynomial(make_antichain(p), (k,) * p)
 
 
+WEIGHTS = st.one_of(st.just(0), st.integers(1, 3),
+                    st.fractions(0, 4, max_denominator=5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(WEIGHTS, max_size=5 if k < 3 else 4))))
+def test_kn_descent_polynomial_matches_extension_walk(case):
+    # the oracle walks k^p p! colored permutations, at most 3,840 here
+    k, q = case
+    assert kn_descent_polynomial(k, len(q), q) == Polynomial(
+        tuple(kn_by_extensions(k, len(q), q)))
+
+
+def test_kn_descent_polynomial_beyond_the_old_extension_cap():
+    # 7! * 3^7 = 11,022,480 colored permutations, above LHALL_MAX_COLORED
+    poly = kn_descent_polynomial(3, 7, (Fraction(1, 2),) * 7)
+    assert poly(1) == factorial(7) * Fraction(1 + 2 + 4, 4) ** 7
+
+
 def test_kn_descent_polynomial_validates_weights():
     with pytest.raises(InvalidInputError):
         kn_descent_polynomial(2, 2, (0.5, 1))
@@ -153,6 +173,12 @@ def test_kn_descent_polynomial_validates_weights():
         kn_descent_polynomial(2, 2, (Fraction(-1, 2), 1))
     with pytest.raises(InvalidInputError):
         kn_descent_polynomial(2, 2, (1,))
+    for k in (0, -1):
+        for fn in (verify_kn, verify_kn1):
+            with pytest.raises(InvalidInputError):
+                fn(k, 0)
+        with pytest.raises(InvalidInputError):
+            kn_descent_polynomial(k, 0, ())
 
 
 

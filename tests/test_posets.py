@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 
 from lhall import (InvalidInputError, LabeledPoset, ResourceLimitError,
-                   all_labeled_posets, count_linear_extensions, disjoint_union,
+                   all_labeled_posets, colored_extensions,
+                   count_linear_extensions, disjoint_union, enumerate_points,
                    epsilon, from_relations, linear_extensions, make_antichain,
                    make_chain, ordinal_sum, ordinal_sum_of_antichains,
                    poset_from_document, poset_to_document, sign_rank,
@@ -110,14 +111,38 @@ def test_extension_count_matches_enumeration():
             assert count_linear_extensions(P) == len(list(linear_extensions(P)))
 
 
-def test_extension_caps(monkeypatch):
-    with pytest.raises(ResourceLimitError):
-        list(linear_extensions(make_antichain(11)))
-    monkeypatch.setenv("LHALL_MAX_P", "11")
-    assert next(linear_extensions(make_antichain(11))) == tuple(range(1, 12))
-    monkeypatch.setenv("LHALL_MAX_P_COUNT", "3")
-    with pytest.raises(ResourceLimitError):
-        count_linear_extensions(make_antichain(4))
+@settings(max_examples=60, deadline=None)
+@given(posets(max_p=7))
+def test_extension_count_matches_enumeration_to_p7(P):
+    assert count_linear_extensions(P) == len(list(linear_extensions(P)))
+
+
+def test_extension_caps():
+    # walking the extensions is capped by e(P), as colored_extensions is at
+    # s = 1, so the 11-chain is walked; counting them is a down-set DP
+    chain = tuple(range(1, 12))
+    assert list(linear_extensions(make_chain(chain))) == [chain]
+    with pytest.raises(ResourceLimitError,
+                       match="39916800 colored extensions.*LHALL_MAX_COLORED"):
+        linear_extensions(make_antichain(11))
+    # 2^4 down-sets x 4 steps
+    assert count_linear_extensions(make_antichain(4), max_steps=64) == 24
+    with pytest.raises(ResourceLimitError, match="64 transitions.*LHALL_MAX_DP"):
+        count_linear_extensions(make_antichain(4), max_steps=63)
+
+
+@pytest.mark.parametrize("variable, run", [
+    ("LHALL_MAX_DP", lambda: count_linear_extensions(make_antichain(2))),
+    ("LHALL_MAX_POINTS", lambda: list(enumerate_points(
+        make_antichain(2), (1, 1), (0, 0), (1, 1)))),
+    ("LHALL_MAX_COLORED", lambda: list(colored_extensions(
+        make_antichain(2), (1, 1)))),
+    ("LHALL_MAX_POSET_ENUM", lambda: list(all_labeled_posets(2))),
+])
+def test_cap_messages_name_their_variable(monkeypatch, variable, run):
+    monkeypatch.setenv(variable, "1")
+    with pytest.raises(ResourceLimitError, match=variable):
+        run()
 
 
 def test_sign_rank_cases():
