@@ -16,12 +16,11 @@ from .errors import (InternalCheckError, InvalidInputError, LhallError,
                      NotPolynomialError, ResourceLimitError)
 from .identities import (IDENTITY_NAMES, SUITE, kn_descent_polynomial,
                          verify_all, verify_identity, verify_kn, verify_kn1)
-from .lattice import (all_labeled_posets, bij_eta, bij_u, cone_points,
-                      ehrhart_counts, enumerate_points, eulerian_via_ehrhart,
+from .lattice import (bij_eta, bij_u, cone_points, ehrhart_counts,
+                      enumerate_points, eulerian_via_ehrhart,
                       is_partition_point, partitions_leq, partitions_lt,
                       partitions_pos_leq, qr_decompose, scan_gamma,
-                      sign_ranked_corpus, verify_bijection,
-                      verify_cone_decomposition,
+                      verify_bijection, verify_cone_decomposition,
                       verify_disjoint_union_product, verify_ordinal_interlacing,
                       verify_recipr)
 from .polys import (Polynomial, binomial_power, compose_linear, gamma_vector,
@@ -32,7 +31,7 @@ from .posets import (LabeledPoset, RankInfo, count_linear_extensions,
                      linear_extensions, make_antichain, make_chain,
                      ordinal_sum, ordinal_sum_of_antichains,
                      poset_from_document, poset_to_document, sign_rank,
-                     validate_smap)
+                     sign_ranked_posets, validate_smap)
 from .reports import VerificationReport, jsonable
 from .roots import (interlacing_failure, interleaves, is_real_rooted,
                     isolate_real_roots, real_root_count)

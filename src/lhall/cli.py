@@ -36,7 +36,7 @@ from .errors import InvalidInputError, LhallError
 from .identities import (DEFAULT_CAPT, DEFAULT_CAPX, IDENTITY_NAMES,
                          kn_descent_polynomial, verify_identity, verify_kn,
                          verify_kn1)
-from .lattice import (ehrhart_counts, eulerian_via_ehrhart, scan_gamma,
+from .lattice import (_gamma_records, ehrhart_counts, eulerian_via_ehrhart,
                       verify_bijection, verify_ordinal_interlacing)
 from .posets import (linear_extensions, make_antichain, make_chain,
                      ordinal_sum_of_antichains, poset_from_document,
@@ -278,13 +278,14 @@ def cmd_ordinal_interlacing(args):
 
 
 def cmd_scan_gamma(args):
-    result = scan_gamma(args.pmax)
-    for rec in result["records"]:
+    # each record is printed as soon as it is built; only failures are kept
+    failures = {"proven_regime_failures": [], "conjecture_failures": []}
+    checked = 0
+    for rec in _gamma_records(args.pmax, failures):
         _emit(rec, args.format)
-    _emit({"checked": result["checked"],
-           "proven_regime_failures": result["proven_regime_failures"],
-           "conjecture_failures": result["conjecture_failures"]}, args.format)
-    return 1 if result["proven_regime_failures"] else 0
+        checked += 1
+    _emit({"checked": checked, **failures}, args.format)
+    return 1 if failures["proven_regime_failures"] else 0
 
 
 def cmd_dual(args):

@@ -600,7 +600,10 @@ def kn_descent_polynomial(k, p, q_values, max_steps=None):
         raise InvalidInputError(f"need {p} weights, got {len(q_values)}")
     if any(isinstance(v, float) for v in q_values):
         raise InvalidInputError("weights must be exact rationals, not floats")
-    weights = [Fraction(v) for v in q_values]
+    try:
+        weights = [Fraction(v) for v in q_values]
+    except (TypeError, ValueError):
+        raise InvalidInputError("weights must be exact rationals") from None
     if any(w < 0 for w in weights):
         raise InvalidInputError("weights must be nonnegative")
     P = make_antichain(p)

@@ -16,9 +16,9 @@ from .colored import (_pairs_by_ratio, eulerian_polynomial, refined_eulerian,
 from .errors import InvalidInputError, ResourceLimitError
 from .polys import (Polynomial, compose_linear, gamma_vector, hstar_from_counts,
                     interpolate, is_palindromic)
-from .posets import (LabeledPoset, _bits, _cap, _check_dp, _cover_masks,
-                     disjoint_union, linear_extensions, make_chain,
-                     ordinal_sum_of_antichains, sign_rank, validate_smap)
+from .posets import (_cap, _check_dp, _cover_masks, disjoint_union,
+                     linear_extensions, make_chain, ordinal_sum_of_antichains,
+                     sign_rank, sign_ranked_posets, validate_smap)
 from .reports import VerificationReport
 from .roots import interlacing_failure, is_real_rooted
 
@@ -52,15 +52,13 @@ def enumerate_points(P, s, lo, hi, max_points=None):
     f = [0] * (p + 1)
     count = 0
 
+    def overflow():
+        return ResourceLimitError(
+            f"more than {limit} lattice points; raise LHALL_MAX_POINTS")
+
     def rec(x):
+        # the level of the last coordinate yields the points itself
         nonlocal count
-        if x > p:
-            count += 1
-            if count > limit:
-                raise ResourceLimitError(
-                    f"more than {limit} lattice points; raise LHALL_MAX_POINTS")
-            yield tuple(f[1:])
-            return
         a, b = lo[x - 1], hi[x - 1]
         sx = s[x - 1]
         for u in lower_of[x]:
@@ -71,11 +69,24 @@ def enumerate_points(P, s, lo, hi, max_points=None):
             v = _ceil_div(f[u] * sx, s[u - 1]) - 1
             if v < b:
                 b = v
+        if x < p:
+            for val in range(a, b + 1):
+                f[x] = val
+                yield from rec(x + 1)
+            return
+        head = tuple(f[1:p])
         for val in range(a, b + 1):
-            f[x] = val
-            yield from rec(x + 1)
+            count += 1
+            if count > limit:
+                raise overflow()
+            yield head + (val,)
 
-    yield from rec(1)
+    if p:
+        yield from rec(1)
+    elif limit < 1:
+        raise overflow()
+    else:
+        yield ()
 
 
 def partitions_leq(P, s, n, max_points=None):
@@ -419,106 +430,44 @@ def verify_ordinal_interlacing(sizes, block_s, max_steps=None):
                               details={"eulerian": total, "family": family})
 
 
-def all_labeled_posets(p, max_p=None):
-    """Yield every partial order on {1, ..., p}, each exactly once.
-
-    Element k is attached to each poset on {1, ..., k-1} by choosing the set
-    of elements below k (a down set) and above k (an up set) with every
-    member of the first related to every member of the second.  Distinct
-    choices give distinct posets, so nothing needs deduplication.  The counts
-    for p = 0, 1, 2, 3, 4, 5 are 1, 1, 3, 19, 219, 4231.
-    """
-    limit = _cap(max_p, "LHALL_MAX_POSET_ENUM", 6)
-    if p > limit:
-        raise ResourceLimitError(f"p = {p} exceeds the poset enumeration cap "
-                                 f"{limit}; raise LHALL_MAX_POSET_ENUM")
-    states = [()]  # tuples of strictly-above masks, one per element
-    for k in range(1, p + 1):
-        n = k - 1
-        full = (1 << n) - 1
-        nxt = []
-        for up in states:
-            down = [0] * n
-            for x in range(1, n + 1):
-                for y in _bits(up[x - 1]):
-                    down[y - 1] |= 1 << (x - 1)
-            downsets = [S for S in range(full + 1)
-                        if all(down[x - 1] & ~S == 0 for x in _bits(S))]
-            upsets = [S for S in range(full + 1)
-                      if all(up[x - 1] & ~S == 0 for x in _bits(S))]
-            bit_k = 1 << (k - 1)
-            for B in downsets:
-                for A in upsets:
-                    if B & A:
-                        continue
-                    if any(A & ~up[b - 1] for b in _bits(B)):
-                        continue
-                    new_up = tuple(
-                        (up[x - 1] | bit_k) if B >> (x - 1) & 1 else up[x - 1]
-                        for x in range(1, n + 1)) + (A,)
-                    nxt.append(new_up)
-        states = nxt
-    for up in states:
-        covers = set()
-        for x in range(1, p + 1):
-            for y in _bits(up[x - 1]):
-                if not any(up[z - 1] >> (y - 1) & 1 for z in _bits(up[x - 1])):
-                    covers.add((x, y))
-        yield LabeledPoset(p, frozenset(covers))
-
-
-def sign_ranked_corpus(pmax):
-    """All (P, rho) with 1 <= p <= pmax, P sign-ranked and rho nonnegative."""
-    out = []
-    for p in range(1, pmax + 1):
-        for P in all_labeled_posets(p):
-            info = sign_rank(P)
-            if info.ranked and all(v >= 0 for v in info.rho):
-                out.append((P, info.rho))
-    return out
-
-
 def scan_gamma(pmax, max_steps=None):
     """Gamma vectors of Eulerian polynomials across the sign-ranked corpus.
 
     For every sign-ranked P with nonnegative rank function on at most pmax
-    elements, take s = rho + 1 and expand A in the basis t^k (1+t)^(p-1-2k).
-    Instances with a negative entry are split by regime: rank values within
-    {0, 1}, where positivity is proved, versus the general nonnegative case,
-    where a negative entry would refute an open conjecture rather than this
-    implementation.  Every instance contributes a full record so callers can
-    stream the scan; a non-palindromic A always counts against the proven
-    regime because the symmetry itself is a theorem here.
+    elements (sign_ranked_posets, so capped by LHALL_MAX_POSET_ENUM), take
+    s = rho + 1 and expand A in the basis t^k (1+t)^(p-1-2k).  Instances
+    with a negative entry are split by regime: rank values within {0, 1},
+    where positivity is proved, versus the general nonnegative case, where
+    a negative entry would refute an open conjecture rather than this
+    implementation.  A non-palindromic A always counts against the proven
+    regime because the symmetry itself is a theorem here.  Records come in
+    order of increasing p, in the generator's order within each p.
     """
-    if pmax < 0:
-        raise InvalidInputError("pmax must be nonnegative")
-    checked = 0
-    records = []
-    proven_failures = []
-    conjecture_failures = []
-    for P, rho in sign_ranked_corpus(pmax):
+    failures = {"proven_regime_failures": [], "conjecture_failures": []}
+    records = list(_gamma_records(pmax, failures, max_steps))
+    return {"checked": len(records), "records": records, **failures}
+
+
+def _gamma_records(pmax, failures, max_steps=None):
+    """Yield scan_gamma's records one at a time, appending each failing one
+    to its list in failures; the caps fire before the first record."""
+    for P, rho in sign_ranked_posets(pmax):
         s = tuple(v + 1 for v in rho)
         A = eulerian_polynomial(P, s, max_steps)
         proven = set(rho) <= {0, 1}
         palindromic = is_palindromic(A, P.p - 1)
         gam = gamma_vector(A, P.p - 1) if palindromic else None
         nonneg = palindromic and all(g >= 0 for g in gam)
-        checked += 1
         rec = {"p": P.p, "covers": sorted(P.covers), "rho": list(rho),
                "eulerian": A, "palindromic": palindromic,
                "gamma": None if gam is None else list(gam),
                "gamma_nonnegative": nonneg,
                "regime": "proven" if proven else "general"}
-        records.append(rec)
         if not palindromic:
             # Reciprocity guarantees the symmetry whenever s = rho + 1, so a
             # miss here is an implementation defect, never an open question.
-            proven_failures.append(rec)
+            failures["proven_regime_failures"].append(rec)
         elif not nonneg:
-            (proven_failures if proven else conjecture_failures).append(rec)
-    return {
-        "checked": checked,
-        "records": records,
-        "proven_regime_failures": proven_failures,
-        "conjecture_failures": conjecture_failures,
-    }
+            failures["proven_regime_failures" if proven
+                     else "conjecture_failures"].append(rec)
+        yield rec

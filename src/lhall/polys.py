@@ -112,27 +112,31 @@ def is_palindromic(poly, center):
         return True
     if center < poly.degree:
         return False
-    return all(poly.coefficient(k) == poly.coefficient(center - k)
-               for k in range(center + 1))
+    cs = poly.coeffs + (0,) * (center - poly.degree)
+    return cs == cs[::-1]
 
 
 def gamma_vector(poly, d):
     """Coefficients gamma_k in poly = sum_k gamma_k t^k (1+t)^(d-2k).
 
     Requires poly palindromic with center d; k runs from 0 to d // 2.  The
-    expansion is found by eliminating coefficients from the bottom up.
+    expansion is found by eliminating coefficients from the bottom up, on a
+    plain coefficient list in which integral coefficients are ints.
     """
     if not is_palindromic(poly, d):
         raise InvalidInputError("gamma vector needs a polynomial palindromic "
                                 f"with center {d}")
-    work = poly
+    work = [int(c) if c.denominator == 1 else c for c in poly.coeffs]
+    work += [0] * (d + 1 - len(work))
     out = []
     for k in range(d // 2 + 1):
-        g = work.coefficient(k)
+        g = work[k]
         out.append(g)
         if g:
-            work = work - monomial(k, g) * binomial_power(d - 2 * k)
-    if not work.is_zero():
+            n = d - 2 * k
+            for j in range(n + 1):
+                work[k + j] -= g * comb(n, j)
+    if any(work):
         raise InternalCheckError("gamma elimination left a remainder")
     return tuple(out)
 

@@ -18,6 +18,7 @@ from .errors import InvalidInputError, ResourceLimitError
 
 DEFAULT_COLORED_CAP = 5_000_000
 DEFAULT_DP_CAP = 4_000_000
+DEFAULT_POSET_ENUM_CAP = 6
 
 
 def epsilon(x: int, y: int) -> int:
@@ -447,6 +448,84 @@ def sign_rank(P):
     graded = len(ranks) == 1
     rank = ranks.pop() if graded else None
     return RankInfo(True, tuple(rho[x] for x in P.elements), graded, rank, None)
+
+
+def sign_ranked_posets(pmax, max_p=None):
+    """Yield every (P, rho) with 1 <= p <= pmax, P sign-ranked, rho >= 0.
+
+    rho is the rank function of sign_rank, a tuple indexed by element - 1.
+    Posets come level by level, in order of increasing p, each exactly
+    once; the counts for p = 1, ..., 6 are 1, 2, 9, 68, 796 and 13,444.
+    Refused before anything is yielded when pmax exceeds max_p, else
+    LHALL_MAX_POSET_ENUM, else DEFAULT_POSET_ENUM_CAP.
+    """
+    if not isinstance(pmax, int) or isinstance(pmax, bool) or pmax < 0:
+        raise InvalidInputError("pmax must be a nonnegative integer")
+    limit = _cap(max_p, "LHALL_MAX_POSET_ENUM", DEFAULT_POSET_ENUM_CAP)
+    if pmax > limit:
+        raise ResourceLimitError(f"p = {pmax} exceeds the poset enumeration cap "
+                                 f"{limit}; raise LHALL_MAX_POSET_ENUM")
+    return _sign_ranked_levels(pmax)
+
+
+def _sign_ranked_levels(pmax):
+    """Grow each level by canonical augmentation of the one below.
+
+    An order ideal of a sign-ranked poset is sign-ranked with the same rho,
+    since its covers are covers of the whole.  So every poset on n + 1
+    elements comes from exactly one on n, the one left when its
+    largest-labeled maximal element z is removed and the labels above z
+    close up.  Conversely z is added above an antichain A of a level-n
+    poset with label l, labels at or above l moving up by one (which keeps
+    the sign of every cover), and kept only when it is the largest-labeled
+    maximal element and every rho(a) + epsilon(a, z) over A agrees on a
+    value >= 0, which is rho(z); rho(z) = 0 when A is empty.  A state
+    holds the strictly-above masks, the cover pairs and rho, so no level
+    needs sign_rank; only the last level is never stored.
+    """
+    level = [((), (), ())]
+    for n in range(pmax):
+        nxt = []
+        for up, covers, rho in level:
+            for child in _augmentations(n, up, covers, rho):
+                if n + 1 < pmax:
+                    nxt.append(child)
+                yield LabeledPoset(n + 1, frozenset(child[1])), child[2]
+        level = nxt
+
+
+def _augmentations(n, up, covers, rho):
+    """The canonical children of one state on n elements, as states."""
+    down = [0] * n
+    for x in range(n):
+        for y in _bits(up[x]):
+            down[y - 1] |= 1 << x
+    antichains = [0]
+    for x in range(n):
+        related = up[x] | down[x]
+        antichains += [A | 1 << x for A in antichains if not A & related]
+    maxima = sum(1 << x for x in range(n) if not up[x])
+    for A in antichains:
+        elems = list(_bits(A))
+        ideal = A | sum(1 << x for x in range(n) if up[x] & A)
+        # z must outrank every maximal element it is not placed above
+        for l in range((maxima & ~A).bit_length() + 1, n + 2):
+            ranks = {rho[a - 1] + (1 if a < l else -1) for a in elems}
+            if len(ranks) > 1:
+                continue
+            r = ranks.pop() if ranks else 0
+            if r < 0:
+                continue
+            low = (1 << (l - 1)) - 1
+            z = 1 << (l - 1)
+            new_up = [(m & low) | (m & ~low) << 1 for m in up]
+            for x in _bits(ideal):
+                new_up[x - 1] |= z
+            new_up.insert(l - 1, 0)
+            new_covers = [(x + (x >= l), y + (y >= l)) for x, y in covers]
+            new_covers += [(a + (a >= l), l) for a in elems]
+            yield (tuple(new_up), tuple(new_covers),
+                   rho[:l - 1] + (r,) + rho[l - 1:])
 
 
 def poset_to_document(P):

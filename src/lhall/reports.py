@@ -14,6 +14,8 @@ def jsonable(v):
     Fractions become ints when integral and "num/den" strings otherwise;
     polynomials become coefficient lists, constant term first.
     """
+    if v is None or isinstance(v, (int, str)):
+        return v
     if isinstance(v, Fraction):
         return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
     if isinstance(v, Polynomial):

@@ -5,8 +5,9 @@ and filtered with Fraction comparisons over every strict relation of the
 order (not just the covers), descent sets are recomputed with exact
 division, Eulerian polynomials, plain or color-weighted, come from walking
 every colored extension, level counts from a depth-first walk over the
-points, classical Eulerian numbers from counting descents of uncolored
-permutations, and truncated series arithmetic on exponent tuples.
+points, sign-ranked posets from filtering every labeled poset, classical
+Eulerian numbers from counting descents of uncolored permutations, and
+truncated series arithmetic on exponent tuples.
 """
 
 from fractions import Fraction
@@ -14,7 +15,9 @@ from itertools import permutations, product
 
 from hypothesis import strategies as st
 
-from lhall import from_relations, linear_extensions, make_antichain
+from lhall import (LabeledPoset, from_relations, linear_extensions,
+                   make_antichain, sign_rank)
+from lhall.posets import _bits
 
 
 def strict_pairs(P):
@@ -112,6 +115,62 @@ def kn_by_extensions(k, p, q_values):
             w *= Fraction(q_values[x - 1]) ** r
         coeffs[d] += w
     return coeffs
+
+
+def all_labeled_posets(p):
+    """Yield every partial order on {1, ..., p}, each exactly once.
+
+    Element k is attached to each poset on {1, ..., k-1} by choosing the set
+    of elements below k (a down set) and above k (an up set) with every
+    member of the first related to every member of the second.  Distinct
+    choices give distinct posets, so nothing needs deduplication.  The counts
+    for p = 0, 1, 2, 3, 4, 5 are 1, 1, 3, 19, 219, 4231.
+    """
+    states = [()]  # tuples of strictly-above masks, one per element
+    for k in range(1, p + 1):
+        n = k - 1
+        full = (1 << n) - 1
+        nxt = []
+        for up in states:
+            down = [0] * n
+            for x in range(1, n + 1):
+                for y in _bits(up[x - 1]):
+                    down[y - 1] |= 1 << (x - 1)
+            downsets = [S for S in range(full + 1)
+                        if all(down[x - 1] & ~S == 0 for x in _bits(S))]
+            upsets = [S for S in range(full + 1)
+                      if all(up[x - 1] & ~S == 0 for x in _bits(S))]
+            bit_k = 1 << (k - 1)
+            for B in downsets:
+                for A in upsets:
+                    if B & A:
+                        continue
+                    if any(A & ~up[b - 1] for b in _bits(B)):
+                        continue
+                    new_up = tuple(
+                        (up[x - 1] | bit_k) if B >> (x - 1) & 1 else up[x - 1]
+                        for x in range(1, n + 1)) + (A,)
+                    nxt.append(new_up)
+        states = nxt
+    for up in states:
+        covers = set()
+        for x in range(1, p + 1):
+            for y in _bits(up[x - 1]):
+                if not any(up[z - 1] >> (y - 1) & 1 for z in _bits(up[x - 1])):
+                    covers.add((x, y))
+        yield LabeledPoset(p, frozenset(covers))
+
+
+def sign_ranked_corpus(pmax):
+    """All (P, rho) with 1 <= p <= pmax, P sign-ranked and rho nonnegative,
+    by filtering every labeled poset through sign_rank."""
+    out = []
+    for p in range(1, pmax + 1):
+        for P in all_labeled_posets(p):
+            info = sign_rank(P)
+            if info.ranked and all(v >= 0 for v in info.rho):
+                out.append((P, info.rho))
+    return out
 
 
 def _ceil_div(a, b):

@@ -13,14 +13,14 @@ import time
 from fractions import Fraction
 from itertools import product
 
-from lhall import (CORPUS, Polynomial, all_labeled_posets,
-                   eulerian_polynomial, eulerian_via_ehrhart,
-                   int_coefficients, is_real_rooted, kn_descent_polynomial,
-                   make_chain, scan_gamma, sign_ranked_corpus, verify_all,
-                   verify_bijection, verify_cone_decomposition, verify_kn,
-                   verify_kn1, verify_ordinal_interlacing, verify_recipr)
+from lhall import (CORPUS, Polynomial, eulerian_polynomial,
+                   eulerian_via_ehrhart, int_coefficients, is_real_rooted,
+                   kn_descent_polynomial, make_chain, scan_gamma,
+                   sign_ranked_posets, verify_all, verify_bijection,
+                   verify_cone_decomposition, verify_kn, verify_kn1,
+                   verify_ordinal_interlacing, verify_recipr)
 from lhall.identities import SUITE
-from oracles import classical_eulerian
+from oracles import all_labeled_posets, classical_eulerian
 
 
 def run_criterion(name, limit, work):
@@ -100,7 +100,7 @@ def test_constant_color_identities():
 
 def test_rank_shift_bijection():
     def work():
-        corpus = list(sign_ranked_corpus(5))
+        corpus = list(sign_ranked_posets(5))
         points = 0
         for P, s in corpus:
             for n in range(5):
@@ -115,7 +115,7 @@ def test_rank_shift_bijection():
 
 def test_reciprocity():
     def work():
-        corpus = list(sign_ranked_corpus(5))
+        corpus = list(sign_ranked_posets(5))
         for P, s in corpus:
             r = verify_recipr(P)
             assert r.passed, (sorted(P.covers), r.reason, r.witness)

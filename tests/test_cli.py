@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lhall import cli
+from lhall import cli, lattice
+from lhall.colored import eulerian_polynomial
 
 
 def run(capsys, *argv):
@@ -292,6 +293,32 @@ def test_scan_gamma_streams_records(capsys):
     assert summary["checked"] == len(records) == 3
     assert summary["proven_regime_failures"] == []
     assert all(rec["gamma_nonnegative"] for rec in records)
+
+
+def test_scan_gamma_prints_each_record_as_it_is_built(capsys, monkeypatch):
+    # a crash on the second poset leaves the first record already printed
+    calls = []
+
+    def eulerian_once(*args, **kwargs):
+        calls.append(args)
+        if len(calls) > 1:
+            raise ZeroDivisionError("second poset")
+        return eulerian_polynomial(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "eulerian_polynomial", eulerian_once)
+    code, out, err = run(capsys, "scan-gamma", "--pmax", "2")
+    assert code == 3
+    assert err == "error: unexpected ZeroDivisionError: second poset\n"
+    lines = out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["p"] == 1
+
+
+def test_scan_gamma_cap_fires_before_the_first_record(capsys, monkeypatch):
+    monkeypatch.setenv("LHALL_MAX_POSET_ENUM", "3")
+    code, out, err = run(capsys, "scan-gamma", "--pmax", "4")
+    assert_unusable_input(code, err)
+    assert "LHALL_MAX_POSET_ENUM" in err
+    assert out == ""
 
 
 def test_closed_stdout_exits_quietly():

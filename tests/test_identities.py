@@ -173,6 +173,9 @@ def test_kn_descent_polynomial_validates_weights():
         kn_descent_polynomial(2, 2, (Fraction(-1, 2), 1))
     with pytest.raises(InvalidInputError):
         kn_descent_polynomial(2, 2, (1,))
+    for bad in ("x", None, [1]):
+        with pytest.raises(InvalidInputError, match="exact rationals"):
+            kn_descent_polynomial(2, 1, (bad,))
     for k in (0, -1):
         for fn in (verify_kn, verify_kn1):
             with pytest.raises(InvalidInputError):

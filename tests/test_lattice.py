@@ -6,18 +6,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lhall import (InvalidInputError, LabeledPoset, Polynomial,
-                   ResourceLimitError, all_labeled_posets, bij_eta, bij_u,
-                   colored_extensions, cone_points, descent_profile,
-                   ehrhart_counts, enumerate_points, eulerian_polynomial,
+                   ResourceLimitError, bij_eta, bij_u, colored_extensions,
+                   cone_points, descent_profile, ehrhart_counts,
+                   enumerate_points, eulerian_polynomial,
                    eulerian_via_ehrhart, is_partition_point, make_antichain,
                    make_chain, partitions_leq, partitions_lt,
-                   partitions_pos_leq, qr_decompose, scan_gamma,
-                   sign_ranked_corpus, verify_bijection,
+                   partitions_pos_leq, qr_decompose, scan_gamma, sign_rank,
+                   sign_ranked_posets, verify_bijection,
                    verify_cone_decomposition, verify_disjoint_union_product,
                    verify_ordinal_interlacing, verify_recipr)
 from lhall.corpus import CORPUS, corpus_get
-from oracles import (box_points, ehrhart_by_walk, is_point_frac, posets,
-                     region_points, smaps, smaps_within)
+from oracles import (all_labeled_posets, box_points, ehrhart_by_walk,
+                     is_point_frac, posets, region_points, sign_ranked_corpus,
+                     smaps, smaps_within)
 
 
 def test_enumerate_points_frozen_cases():
@@ -162,6 +163,18 @@ def test_resource_caps():
                           max_steps=456)[6] == 19 ** 3
 
 
+def test_point_cap_counts_points_yielded():
+    # the cap lets exactly max_points points through, the empty point too
+    points = enumerate_points(make_antichain(1), (1,), (0,), (9,), max_points=3)
+    assert [next(points) for _ in range(3)] == [(0,), (1,), (2,)]
+    with pytest.raises(ResourceLimitError, match="more than 3"):
+        next(points)
+    assert list(enumerate_points(make_antichain(0), (), (), (),
+                                 max_points=1)) == [()]
+    with pytest.raises(ResourceLimitError, match="more than 0"):
+        list(enumerate_points(make_antichain(0), (), (), (), max_points=0))
+
+
 def test_caps_have_one_meaning_each(monkeypatch):
     # LHALL_MAX_POINTS caps points yielded; the level counts yield none
     P, s = make_antichain(3), (2, 2, 2)
@@ -290,12 +303,29 @@ def test_all_labeled_posets_counts():
         out = list(all_labeled_posets(p))
         assert len(set(out)) == len(out)
         assert all(P.p == p for P in out)
-    with pytest.raises(ResourceLimitError):
-        list(all_labeled_posets(7))
+    # the generator that replaced the full enumeration keeps its cap on p
+    with pytest.raises(ResourceLimitError, match="LHALL_MAX_POSET_ENUM"):
+        sign_ranked_posets(7)
+    assert len(list(sign_ranked_posets(3, max_p=3))) == 12
+    with pytest.raises(ResourceLimitError, match="cap 2"):
+        sign_ranked_posets(3, max_p=2)
+    with pytest.raises(InvalidInputError):
+        sign_ranked_posets(-1)
+
+
+def test_sign_ranked_posets_match_the_filtered_enumeration():
+    got = list(sign_ranked_posets(5))
+    keys = [(P.p, P.covers) for P, _ in got]
+    assert len(set(keys)) == len(keys) == 876
+    assert set(keys) == {(P.p, P.covers) for P, _ in sign_ranked_corpus(5)}
+    # levels come in order of increasing p
+    assert [P.p for P, _ in got] == sorted(P.p for P, _ in got)
+    for P, rho in got:
+        assert sign_rank(P).rho == rho
 
 
 def test_sign_ranked_corpus():
-    corpus = sign_ranked_corpus(3)
+    corpus = list(sign_ranked_posets(3))
     assert len(corpus) == 12
     for P, rho in corpus:
         assert all(v >= 0 for v in rho)
@@ -317,7 +347,7 @@ def test_scan_gamma_small():
 def test_descent_polynomial_matches_dual_d1_polynomial():
     # in the rank regime s = rho + 1, summing t^|D| over L(P, s) agrees with
     # summing t^|D1| over the colored extensions of the mirrored poset
-    for P, rho in sign_ranked_corpus(4):
+    for P, rho in sign_ranked_posets(4):
         s = tuple(v + 1 for v in rho)
         dual, sd = P.dual(), tuple(reversed(s))
         lhs = [0] * (P.p + 1)
