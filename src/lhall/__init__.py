@@ -11,27 +11,24 @@ tying all of these together.
 from .colored import (ColoredPermutation, DescentProfile, colored_extensions,
                       descent_profile, eulerian_polynomial, refined_eulerian,
                       statistics, x_order)
-from .corpus import CORPUS, corpus_get
+from .corpus import CORPUS
 from .errors import (InternalCheckError, InvalidInputError, LhallError,
                      NotPolynomialError, ResourceLimitError)
 from .identities import (IDENTITY_NAMES, SUITE, kn_descent_polynomial,
                          verify_all, verify_identity, verify_kn, verify_kn1)
-from .lattice import (bij_eta, bij_u, cone_points, ehrhart_counts,
-                      enumerate_points, eulerian_via_ehrhart,
-                      is_partition_point, partitions_leq, partitions_lt,
-                      partitions_pos_leq, qr_decompose, scan_gamma,
+from .lattice import (bij_eta, bij_u, ehrhart_counts, enumerate_points,
+                      eulerian_via_ehrhart, is_partition_point, partitions_leq,
+                      partitions_lt, qr_decompose, scan_gamma,
                       verify_bijection, verify_cone_decomposition,
-                      verify_disjoint_union_product, verify_ordinal_interlacing,
-                      verify_recipr)
-from .polys import (Polynomial, binomial_power, compose_linear, gamma_vector,
+                      verify_ordinal_interlacing, verify_recipr)
+from .polys import (Polynomial, compose_linear, gamma_vector,
                     hstar_from_counts, int_coefficients, interpolate,
                     is_palindromic, monomial)
-from .posets import (LabeledPoset, RankInfo, count_linear_extensions,
-                     disjoint_union, epsilon, from_relations,
+from .posets import (LabeledPoset, RankInfo, count_linear_extensions, epsilon,
                      linear_extensions, make_antichain, make_chain,
-                     ordinal_sum, ordinal_sum_of_antichains,
-                     poset_from_document, poset_to_document, sign_rank,
-                     sign_ranked_posets, validate_smap)
+                     ordinal_sum_of_antichains, poset_from_document,
+                     poset_to_document, sign_rank, sign_ranked_posets,
+                     validate_smap)
 from .reports import VerificationReport, jsonable
 from .roots import (interlacing_failure, interleaves, is_real_rooted,
                     isolate_real_roots, real_root_count)

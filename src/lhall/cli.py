@@ -41,7 +41,7 @@ from .lattice import (_gamma_records, ehrhart_counts, eulerian_via_ehrhart,
 from .posets import (linear_extensions, make_antichain, make_chain,
                      ordinal_sum_of_antichains, poset_from_document,
                      poset_to_document, sign_rank, validate_smap)
-from .reports import jsonable
+from .reports import _dumps, jsonable
 from .roots import is_real_rooted
 
 
@@ -119,12 +119,11 @@ def _flat(prefix, value, rows):
 
 
 def _emit(payload, fmt="json"):
-    doc = jsonable(payload)
     if fmt == "json":
-        print(json.dumps(doc, sort_keys=True))
+        print(_dumps(payload))
         return
     rows = []
-    _flat("", doc, rows)
+    _flat("", jsonable(payload), rows)
     sep = ": " if fmt == "text" else "\t"
     for key, rendered in rows:
         print(f"{key}{sep}{rendered}")

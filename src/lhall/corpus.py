@@ -8,7 +8,6 @@ this list so that a change of behavior shows up against stable names.
 
 from __future__ import annotations
 
-from .errors import InvalidInputError
 from .posets import (LabeledPoset, make_antichain, make_chain,
                      ordinal_sum_of_antichains)
 
@@ -52,10 +51,3 @@ def _build():
 
 
 CORPUS = _build()
-
-
-def corpus_get(name):
-    for entry in CORPUS:
-        if entry[0] == name:
-            return entry
-    raise InvalidInputError(f"no corpus entry named {name!r}")

@@ -393,7 +393,7 @@ def _verify_EUL2(P, s, capx, capt, max_points, max_count):
     A = _descent_polynomial(P, s)
     B = _descent_polynomial(P, s, start=True)
     C = _descent_polynomial(P, s, shift=1, end=False)
-    extensions = int(A(1))
+    extensions = A(1)
     minimal_one = all(s[x - 1] == 1 for x in P.minimal_elements())
     details = {"eulerian": A, "minimal_colors_one": minimal_one,
                "extensions": extensions, "a_matches_d3": A == C}
@@ -614,4 +614,4 @@ def kn_descent_polynomial(k, p, q_values, max_steps=None):
 
     A = _descent_polynomial(P, (k,) * p, weight=weight, max_steps=max_steps)
     scale = prod(w.denominator for w in weights) ** (k - 1)
-    return Polynomial(tuple(c / scale for c in A.coeffs))
+    return Polynomial(tuple(Fraction(c, scale) for c in A.coeffs))

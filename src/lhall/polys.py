@@ -1,9 +1,11 @@
 """Dense univariate polynomials over exact rationals.
 
-Coefficients are Fractions (ints are accepted and converted); floats are
-rejected outright, since every computation in this package is exact.
-Coefficient sequences run from the constant term up, and trailing zeros are
-stripped, so the zero polynomial is the empty tuple and has degree -1.
+An integral coefficient is stored as an int and any other as a Fraction, so
+the integer polynomials that count things never touch Fraction arithmetic;
+floats are rejected outright, since every computation in this package is
+exact.  Coefficient sequences run from the constant term up, and trailing
+zeros are stripped, so the zero polynomial is the empty tuple and has
+degree -1.
 """
 
 from __future__ import annotations
@@ -24,12 +26,20 @@ def _to_fraction(c):
         raise InvalidInputError(f"{c!r} is not an exact rational") from None
 
 
+def _exact(c):
+    """c as an int when integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    c = _to_fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 @dataclass(frozen=True)
 class Polynomial:
     coeffs: tuple = ()
 
     def __post_init__(self):
-        cs = [_to_fraction(c) for c in self.coeffs]
+        cs = [_exact(c) for c in self.coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -41,7 +51,7 @@ class Polynomial:
     def coefficient(self, k):
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return Fraction(0)
+        return 0
 
     def is_zero(self):
         return not self.coeffs
@@ -70,7 +80,7 @@ class Polynomial:
         other = _as_poly(other)
         if not self.coeffs or not other.coeffs:
             return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
@@ -79,8 +89,8 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __call__(self, value):
-        value = _to_fraction(value)
-        acc = Fraction(0)
+        value = _exact(value)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * value + c
         return acc
@@ -92,14 +102,14 @@ class Polynomial:
 def _as_poly(v):
     if isinstance(v, Polynomial):
         return v
-    return Polynomial((_to_fraction(v),))
+    return Polynomial((v,))
 
 
 def monomial(k, coeff=1):
     """coeff * t^k."""
     if k < 0:
         raise InvalidInputError("monomial exponent must be nonnegative")
-    return Polynomial((0,) * k + (_to_fraction(coeff),))
+    return Polynomial((0,) * k + (coeff,))
 
 
 def is_palindromic(poly, center):
@@ -120,14 +130,12 @@ def gamma_vector(poly, d):
     """Coefficients gamma_k in poly = sum_k gamma_k t^k (1+t)^(d-2k).
 
     Requires poly palindromic with center d; k runs from 0 to d // 2.  The
-    expansion is found by eliminating coefficients from the bottom up, on a
-    plain coefficient list in which integral coefficients are ints.
+    expansion is found by eliminating coefficients from the bottom up.
     """
     if not is_palindromic(poly, d):
         raise InvalidInputError("gamma vector needs a polynomial palindromic "
                                 f"with center {d}")
-    work = [int(c) if c.denominator == 1 else c for c in poly.coeffs]
-    work += [0] * (d + 1 - len(work))
+    work = list(poly.coeffs) + [0] * (d + 1 - len(poly.coeffs))
     out = []
     for k in range(d // 2 + 1):
         g = work[k]
@@ -141,16 +149,9 @@ def gamma_vector(poly, d):
     return tuple(out)
 
 
-def binomial_power(n):
-    """(1 + t)^n."""
-    if n < 0:
-        raise InvalidInputError("negative power of (1 + t)")
-    return Polynomial(tuple(comb(n, k) for k in range(n + 1)))
-
-
 def compose_linear(poly, a, b):
     """poly(a*t + b), exactly."""
-    inner = Polynomial((_to_fraction(b), _to_fraction(a)))
+    inner = Polynomial((b, a))
     acc = Polynomial()
     for c in reversed(poly.coeffs):
         acc = acc * inner + Polynomial((c,))
@@ -160,13 +161,14 @@ def compose_linear(poly, a, b):
 def interpolate(points):
     """The unique polynomial of degree < len(points) through the given points.
 
-    points is a sequence of (x, y) pairs with distinct x values.
+    points is a sequence of (x, y) pairs with distinct x values.  The
+    nodes are Fractions, so every divided difference stays exact.
     """
     xs = [_to_fraction(x) for x, _ in points]
     if len(set(xs)) != len(xs):
         raise InvalidInputError("interpolation nodes must be distinct")
     # divided differences, then Horner back into the monomial basis
-    coefs = [_to_fraction(y) for _, y in points]
+    coefs = [_exact(y) for _, y in points]
     n = len(coefs)
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
@@ -184,8 +186,7 @@ def hstar_from_counts(counts, p):
     the numerator beyond degree p must vanish; a nonzero one means the counts
     do not come from a degree-p polynomial and NotPolynomialError is raised.
     """
-    # integer counts stay ints, which is exact and far cheaper than Fraction
-    cs = [c if isinstance(c, int) else _to_fraction(c) for c in counts]
+    cs = [_exact(c) for c in counts]
     m = len(cs) - 1
     if m < p:
         raise InvalidInputError(f"need counts up to n = {p}, got {m}")

@@ -123,29 +123,6 @@ class LabeledPoset:
     def elements(self):
         return range(1, self.p + 1)
 
-    def _check(self, x):
-        if not isinstance(x, int) or not 1 <= x <= self.p:
-            raise InvalidInputError(f"{x!r} is not an element of {{1, ..., {self.p}}}")
-
-    def less(self, x, y):
-        """True when x is strictly below y in the order."""
-        self._check(x)
-        self._check(y)
-        return bool(self._above[x] >> (y - 1) & 1)
-
-    def leq(self, x, y):
-        return x == y or self.less(x, y)
-
-    def above(self, x):
-        """Elements strictly above x."""
-        self._check(x)
-        return frozenset(_bits(self._above[x]))
-
-    def below(self, x):
-        """Elements strictly below x."""
-        self._check(x)
-        return frozenset(y for y in self.elements if self._above[y] >> (x - 1) & 1)
-
     def minimal_elements(self):
         tops = {y for _, y in self.covers}
         return tuple(x for x in self.elements if x not in tops)
@@ -153,10 +130,6 @@ class LabeledPoset:
     def maximal_elements(self):
         bottoms = {x for x, _ in self.covers}
         return tuple(x for x in self.elements if x not in bottoms)
-
-    def is_naturally_labeled(self):
-        """True when every relation ascends, i.e. x -< y implies x < y."""
-        return all(x < y for x, y in self.covers)
 
     def dual(self):
         """The same order with labels mirrored through x -> p + 1 - x.
@@ -183,63 +156,19 @@ def make_antichain(p):
     return LabeledPoset(p, frozenset())
 
 
-def ordinal_sum(P, Q):
-    """P on {1..p}, Q relabeled up to {p+1..p+q}, all of P below all of Q."""
-    p = P.p
-    covers = set(P.covers)
-    covers.update((x + p, y + p) for x, y in Q.covers)
-    covers.update((x, y + p) for x in P.maximal_elements() for y in Q.minimal_elements())
-    return LabeledPoset(p + Q.p, frozenset(covers))
-
-
-def disjoint_union(P, Q):
-    """P on {1..p} next to Q relabeled up to {p+1..p+q}, no relations between."""
-    p = P.p
-    covers = set(P.covers)
-    covers.update((x + p, y + p) for x, y in Q.covers)
-    return LabeledPoset(p + Q.p, frozenset(covers))
-
-
 def ordinal_sum_of_antichains(sizes):
-    """Antichain blocks stacked bottom to top; labels run in block order."""
-    P = make_antichain(0)
+    """Antichain blocks stacked bottom to top; labels run in block order.
+
+    Every element of a block covers every element of the block below it.
+    """
+    covers = []
+    block = range(1, 1)
     for a in sizes:
         if not isinstance(a, int) or isinstance(a, bool) or a < 1:
             raise InvalidInputError("block sizes must be positive integers")
-        P = ordinal_sum(P, make_antichain(a))
-    return P
-
-
-def from_relations(p, relations):
-    """Build a poset from arbitrary strict relations x < y.
-
-    The input need not be transitively closed or reduced; cycles are rejected.
-    """
-    adj = [0] * (p + 1)
-    for pair in relations:
-        try:
-            x, y = pair
-        except (TypeError, ValueError):
-            raise InvalidInputError(f"relation {pair!r} is not a pair") from None
-        if not (isinstance(x, int) and isinstance(y, int)
-                and 1 <= x <= p and 1 <= y <= p and x != y):
-            raise InvalidInputError(
-                f"relation {pair!r} is not a pair of distinct elements of [{p}]")
-        adj[x] |= 1 << (y - 1)
-    for k in range(1, p + 1):
-        kb = 1 << (k - 1)
-        for x in range(1, p + 1):
-            if adj[x] & kb:
-                adj[x] |= adj[k]
-    for x in range(1, p + 1):
-        if adj[x] >> (x - 1) & 1:
-            raise InvalidInputError("relations contain a cycle")
-    covers = set()
-    for x in range(1, p + 1):
-        for y in _bits(adj[x]):
-            if not any(adj[z] >> (y - 1) & 1 for z in _bits(adj[x])):
-                covers.add((x, y))
-    return LabeledPoset(p, frozenset(covers))
+        below, block = block, range(block.stop, block.stop + a)
+        covers += [(x, y) for x in below for y in block]
+    return LabeledPoset(block.stop - 1, frozenset(covers))
 
 
 def _cap(value, env, default):

@@ -1,32 +1,37 @@
-"""Structured outcomes for the verification routines."""
+"""Structured outcomes for the verification routines, and their JSON form.
+
+Reports hold raw result values; _dumps renders any of them as one JSON
+document with sorted keys, through the C encoder of the json module.
+Fractions become ints when integral and "num/den" strings otherwise;
+polynomials become coefficient lists, constant term first.
+"""
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .polys import Polynomial
 
 
-def jsonable(v):
-    """Mirror a result value into plain JSON types.
-
-    Fractions become ints when integral and "num/den" strings otherwise;
-    polynomials become coefficient lists, constant term first.
-    """
-    if v is None or isinstance(v, (int, str)):
-        return v
+def _encode(v):
     if isinstance(v, Fraction):
-        return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        if v.denominator == 1:
+            return v.numerator
+        return f"{v.numerator}/{v.denominator}"
     if isinstance(v, Polynomial):
-        return [jsonable(c) for c in v.coeffs]
-    if isinstance(v, dict):
-        return {str(k): jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [jsonable(x) for x in v]
-    if isinstance(v, (set, frozenset)):
-        return sorted(jsonable(x) for x in v)
-    return v
+        return list(v.coeffs)
+    raise TypeError(f"{type(v).__name__} is not JSON serializable")
+
+
+def _dumps(v):
+    return json.dumps(v, sort_keys=True, default=_encode)
+
+
+def jsonable(v):
+    """v mirrored into plain JSON types, as _dumps renders it."""
+    return json.loads(_dumps(v))
 
 
 @dataclass
@@ -55,12 +60,5 @@ class VerificationReport:
         return self.status == "fail"
 
     def to_json(self):
-        return {
-            "identity": self.identity,
-            "status": self.status,
-            "caps": jsonable(self.caps),
-            "compared": self.compared,
-            "witness": jsonable(self.witness),
-            "reason": self.reason,
-            "details": jsonable(self.details),
-        }
+        """The fields as a dict of raw values, ready for _dumps."""
+        return dict(vars(self))

@@ -7,7 +7,9 @@ division, Eulerian polynomials, plain or color-weighted, come from walking
 every colored extension, level counts from a depth-first walk over the
 points, sign-ranked posets from filtering every labeled poset, classical
 Eulerian numbers from counting descents of uncolored permutations, and
-truncated series arithmetic on exponent tuples.
+truncated series arithmetic on exponent tuples.  The helpers only tests use
+live here too: corpus lookup by name, posets from arbitrary relations, and
+the strict order.
 """
 
 from fractions import Fraction
@@ -15,15 +17,45 @@ from itertools import permutations, product
 
 from hypothesis import strategies as st
 
-from lhall import (LabeledPoset, from_relations, linear_extensions,
-                   make_antichain, sign_rank)
+from lhall import (CORPUS, InvalidInputError, LabeledPoset,
+                   linear_extensions, make_antichain, sign_rank)
 from lhall.posets import _bits
+
+
+def corpus_get(name):
+    """The corpus entry (name, P, s) with this name."""
+    (entry,) = [entry for entry in CORPUS if entry[0] == name]
+    return entry
+
+
+def from_relations(p, relations):
+    """The poset generated by strict relations x < y on {1, ..., p}.
+
+    The relations need not be transitively closed or reduced; a cycle raises
+    InvalidInputError.
+    """
+    adj = [0] * (p + 1)
+    for x, y in relations:
+        adj[x] |= 1 << (y - 1)
+    for k in range(1, p + 1):
+        for x in range(1, p + 1):
+            if adj[x] >> (k - 1) & 1:
+                adj[x] |= adj[k]
+    if any(adj[x] >> (x - 1) & 1 for x in range(1, p + 1)):
+        raise InvalidInputError("relations contain a cycle")
+    covers = {(x, y) for x in range(1, p + 1) for y in _bits(adj[x])
+              if not any(adj[z] >> (y - 1) & 1 for z in _bits(adj[x]))}
+    return LabeledPoset(p, frozenset(covers))
+
+
+def less(P, x, y):
+    """Whether x is strictly below y in P."""
+    return bool(P._above[x] >> (y - 1) & 1)
 
 
 def strict_pairs(P):
     """All (x, y) with x strictly below y, straight from the closure."""
-    return [(x, y) for x in P.elements for y in P.elements
-            if x != y and P.less(x, y)]
+    return [(x, y) for x in P.elements for y in P.elements if less(P, x, y)]
 
 
 def is_point_frac(P, s, f):

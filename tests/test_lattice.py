@@ -7,18 +7,17 @@ from hypothesis import given, settings, strategies as st
 
 from lhall import (InvalidInputError, LabeledPoset, Polynomial,
                    ResourceLimitError, bij_eta, bij_u, colored_extensions,
-                   cone_points, descent_profile, ehrhart_counts,
-                   enumerate_points, eulerian_polynomial,
-                   eulerian_via_ehrhart, is_partition_point, make_antichain,
-                   make_chain, partitions_leq, partitions_lt,
-                   partitions_pos_leq, qr_decompose, scan_gamma, sign_rank,
-                   sign_ranked_posets, verify_bijection,
-                   verify_cone_decomposition, verify_disjoint_union_product,
-                   verify_ordinal_interlacing, verify_recipr)
-from lhall.corpus import CORPUS, corpus_get
-from oracles import (all_labeled_posets, box_points, ehrhart_by_walk,
-                     is_point_frac, posets, region_points, sign_ranked_corpus,
-                     smaps, smaps_within)
+                   descent_profile, ehrhart_counts, enumerate_points,
+                   eulerian_polynomial, eulerian_via_ehrhart,
+                   is_partition_point, lattice, make_antichain, make_chain,
+                   partitions_leq, partitions_lt, qr_decompose, scan_gamma,
+                   sign_rank, sign_ranked_posets, verify_bijection,
+                   verify_cone_decomposition, verify_ordinal_interlacing,
+                   verify_recipr)
+from lhall.corpus import CORPUS
+from oracles import (all_labeled_posets, box_points, corpus_get,
+                     ehrhart_by_walk, is_point_frac, posets, region_points,
+                     sign_ranked_corpus, smaps, smaps_within)
 
 
 def test_enumerate_points_frozen_cases():
@@ -61,20 +60,9 @@ def test_region_wrappers_match_oracle(data):
     n = data.draw(st.integers(0, 3))
     assert list(partitions_leq(P, s, n)) == region_points(P, s, n)
     assert list(partitions_lt(P, s, n)) == region_points(P, s, n, strict=True)
-    assert list(partitions_pos_leq(P, s, n)) == region_points(P, s, n,
-                                                              positive=True)
     weak = set(partitions_leq(P, s, n))
     assert set(partitions_lt(P, s, n)) <= weak
     assert weak <= set(partitions_leq(P, s, n + 1))
-
-
-def test_cone_points_cap_semantics():
-    # q(f) <= qmax holds exactly when f <= (qmax + 1) s - 1 componentwise
-    P = make_chain((1, 2))
-    s = (1, 2)
-    pts = list(cone_points(P, s, 1))
-    assert pts == box_points(P, s, [0, 0], [1, 3])
-    assert all(max(q) <= 1 for q, _ in (qr_decompose(f, s) for f in pts))
 
 
 def test_is_partition_point():
@@ -244,6 +232,27 @@ def test_verify_bijection_reports():
     assert report.status == "skip"
 
 
+def _outside(f, rho):
+    return (-1,) * len(f)
+
+
+def _extra_target(P, s, n, max_points=None):
+    return [*partitions_lt(P, s, n, max_points), (-1,) * P.p]
+
+
+@pytest.mark.parametrize("name, patch, reason", [
+    ("bij_u", _outside, "image leaves the dual region"),
+    ("bij_eta", _outside, "eta does not undo u"),
+    ("partitions_lt", _extra_target, "image misses part of the dual region"),
+    # a u that merges two points cannot be undone on both of them
+    ("bij_u", lambda f, rho: bij_u((0,) * len(f), rho), "eta does not undo u"),
+])
+def test_verify_bijection_failure_reasons(monkeypatch, name, patch, reason):
+    monkeypatch.setattr(lattice, name, patch)
+    report = verify_bijection(make_chain((1, 2, 3)), 2)
+    assert report.failed and report.reason == reason
+
+
 def test_verify_cone_decomposition():
     report = verify_cone_decomposition(make_antichain(2), (1, 1), 2)
     assert report.passed and report.details["extensions"] == 2
@@ -255,14 +264,17 @@ def test_verify_cone_decomposition():
     assert report.passed and report.details["extensions"] == 6
 
 
-def test_verify_disjoint_union_product():
-    one = make_antichain(1)
-    report = verify_disjoint_union_product(one, (1,), one, (1,), 5)
-    assert report.passed
-
-    chain = make_chain((1, 2))
-    report = verify_disjoint_union_product(chain, (1, 2), chain, (1, 2), 4)
-    assert report.passed
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ehrhart_counts_of_disjoint_union_multiply(data):
+    # a point of P next to Q is a point of P and a point of Q
+    P = data.draw(posets(max_p=3))
+    Q = data.draw(posets(max_p=3))
+    sP, sQ = data.draw(smaps(P)), data.draw(smaps(Q))
+    union = LabeledPoset(P.p + Q.p, P.covers | {(x + P.p, y + P.p)
+                                                for x, y in Q.covers})
+    a, b = ehrhart_counts(P, sP, 4), ehrhart_counts(Q, sQ, 4)
+    assert ehrhart_counts(union, sP + sQ, 4) == [m * n for m, n in zip(a, b)]
 
 
 def test_verify_recipr():

@@ -1,17 +1,27 @@
 """Exact polynomial arithmetic, palindromicity, gamma vectors, h*."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lhall import (InvalidInputError, NotPolynomialError, Polynomial,
-                   binomial_power, compose_linear, gamma_vector,
+                   compose_linear, eulerian_polynomial, gamma_vector,
                    hstar_from_counts, int_coefficients, interpolate,
-                   is_palindromic, monomial)
+                   is_palindromic, kn_descent_polynomial, monomial)
+from oracles import posets, smaps
 
 small_polys = st.builds(
     Polynomial, st.lists(st.integers(-9, 9), max_size=6).map(tuple))
+
+
+def rationals(lo, hi, den=4):
+    return st.integers(lo, hi) | st.fractions(lo, hi, max_denominator=den)
+
+
+rational_polys = st.builds(
+    Polynomial, st.lists(rationals(-4, 4), max_size=5).map(tuple))
 
 
 def test_construction_normalizes():
@@ -67,15 +77,13 @@ def test_gamma_vector_roundtrip(d, data):
     gs = tuple(data.draw(st.integers(-5, 5)) for _ in range(d // 2 + 1))
     poly = Polynomial(())
     for k, g in enumerate(gs):
-        poly = poly + monomial(k, g) * binomial_power(d - 2 * k)
-    assert gamma_vector(poly, d) == tuple(Fraction(g) for g in gs)
+        n = d - 2 * k
+        poly = poly + monomial(k, g) * Polynomial(
+            tuple(comb(n, j) for j in range(n + 1)))
+    assert gamma_vector(poly, d) == gs
 
 
-def test_binomial_power_and_compose():
-    assert binomial_power(3) == Polynomial((1, 3, 3, 1))
-    assert binomial_power(0) == Polynomial((1,))
-    with pytest.raises(InvalidInputError):
-        binomial_power(-1)
+def test_compose_linear():
     f = Polynomial((1, 0, 1))
     assert compose_linear(f, -1, 0) == f            # even polynomial
     assert compose_linear(Polynomial((0, 1)), 2, 3) == Polynomial((3, 2))
@@ -116,3 +124,26 @@ def test_int_coefficients():
     assert int_coefficients(f) == [3, 2]
     assert int_coefficients(Polynomial(())) == []
     assert int_coefficients(Polynomial((2, 4))) == [2, 4]
+
+
+def _exact_form(coeffs):
+    """Every entry an int when integral and a Fraction otherwise."""
+    return all(type(c) is int if c == int(c) else type(c) is Fraction
+               for c in coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_polys, rational_polys, rationals(-2, 2), st.data())
+def test_coefficients_are_ints_when_integral(f, g, a, data):
+    for h in (f, f + g, f - g, -f, f * g, 3 - f, compose_linear(f, a, 1),
+              monomial(2, a)):
+        assert _exact_form(h.coeffs), h
+    nodes = range(f.degree + 1)
+    assert _exact_form(interpolate([(x, f(x)) for x in nodes]).coeffs)
+    p = max(f.degree, 0)
+    assert _exact_form(hstar_from_counts([f(n) for n in range(p + 3)], p).coeffs)
+    P = data.draw(posets(max_p=4))
+    assert _exact_form(eulerian_polynomial(P, data.draw(smaps(P))).coeffs)
+    k, m = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3))
+    q = [data.draw(rationals(0, 3)) for _ in range(m)]
+    assert _exact_form(kn_descent_polynomial(k, m, q).coeffs)

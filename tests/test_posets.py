@@ -5,13 +5,12 @@ from hypothesis import given, settings
 
 from lhall import (InvalidInputError, LabeledPoset, ResourceLimitError,
                    colored_extensions, count_linear_extensions,
-                   disjoint_union, enumerate_points, epsilon, from_relations,
-                   linear_extensions, make_antichain, make_chain, ordinal_sum,
-                   ordinal_sum_of_antichains, poset_from_document,
-                   poset_to_document, sign_rank, sign_ranked_posets,
-                   validate_smap)
+                   enumerate_points, epsilon, linear_extensions,
+                   make_antichain, make_chain, ordinal_sum_of_antichains,
+                   poset_from_document, poset_to_document, sign_rank,
+                   sign_ranked_posets, validate_smap)
 from lhall.posets import _chain_bound
-from oracles import all_labeled_posets, posets
+from oracles import all_labeled_posets, from_relations, less, posets
 
 
 def test_construction_rejects_bad_covers():
@@ -35,17 +34,10 @@ def test_construction_rejects_bad_covers():
 def test_order_queries():
     P = LabeledPoset(4, frozenset({(1, 3), (2, 3), (2, 4)}))
     assert list(P.elements) == [1, 2, 3, 4]
-    assert P.less(1, 3) and P.less(2, 4)
-    assert not P.less(1, 4) and not P.less(3, 1)
-    assert P.leq(3, 3) and not P.less(3, 3)
-    assert P.above(2) == {3, 4}
-    assert P.below(3) == {1, 2}
+    assert less(P, 1, 3) and less(P, 2, 4)
+    assert not less(P, 1, 4) and not less(P, 3, 1) and not less(P, 3, 3)
     assert P.minimal_elements() == (1, 2)
     assert P.maximal_elements() == (3, 4)
-    assert P.is_naturally_labeled()
-    assert not make_chain((2, 1)).is_naturally_labeled()
-    with pytest.raises(InvalidInputError):
-        P.less(0, 1)
 
 
 def test_epsilon_sign():
@@ -85,14 +77,29 @@ def test_constructors():
         from_relations(2, [(1, 2), (2, 1)])
 
 
-def test_sums_and_unions():
-    stacked = ordinal_sum(make_antichain(2), make_antichain(1))
-    assert stacked == LabeledPoset(3, frozenset({(1, 3), (2, 3)}))
-    assert ordinal_sum_of_antichains((2, 1)) == stacked
-    with pytest.raises(InvalidInputError):
-        ordinal_sum_of_antichains((2, 0))
-    union = disjoint_union(make_chain((1, 2)), make_chain((2, 1)))
-    assert union == LabeledPoset(4, frozenset({(1, 2), (4, 3)}))
+def _compositions(p):
+    if not p:
+        yield ()
+    for first in range(1, p + 1):
+        for rest in _compositions(p - first):
+            yield (first,) + rest
+
+
+def test_ordinal_sum_of_antichains_matches_relations():
+    # every element of a block lies below every element of all later blocks
+    for p in range(6):
+        for sizes in _compositions(p):
+            block = [b for b, a in enumerate(sizes) for _ in range(a)]
+            relations = [(x, y) for x in range(1, p + 1)
+                         for y in range(1, p + 1)
+                         if block[x - 1] < block[y - 1]]
+            assert ordinal_sum_of_antichains(sizes) == from_relations(
+                p, relations), sizes
+    assert ordinal_sum_of_antichains((2, 1)) == LabeledPoset(
+        3, frozenset({(1, 3), (2, 3)}))
+    for sizes in ((2, 0), (0,), (1, -1), (True,), (1.0,)):
+        with pytest.raises(InvalidInputError):
+            ordinal_sum_of_antichains(sizes)
 
 
 def test_linear_extensions_enumeration():
