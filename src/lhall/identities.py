@@ -21,7 +21,6 @@ for (D, e).  An ungraded side drops t and the factor 1 - t.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, groupby
 from math import prod
@@ -29,7 +28,7 @@ from operator import attrgetter, getitem
 
 from .colored import _descent_polynomial, colored_extensions, descent_profile
 from .errors import InvalidInputError
-from .lattice import enumerate_points, qr_decompose, verify_recipr
+from .lattice import _region_sum, qr_decompose, verify_recipr
 from .polys import Polynomial, monomial
 from .posets import make_antichain, sign_rank, validate_smap
 from .reports import VerificationReport
@@ -61,12 +60,12 @@ def _add_capped(series, exps, coeff=1):
 
 
 def _series_report(name, caps, lhs, rhs, details=None):
-    compared = len(lhs.terms.keys() | rhs.terms.keys())
-    mism = first_mismatch(lhs, rhs)
-    if mism is None:
-        return VerificationReport(name, "pass", caps=caps, compared=compared,
+    if lhs.terms == rhs.terms:
+        return VerificationReport(name, "pass", caps=caps,
+                                  compared=len(lhs.terms),
                                   details=details or {})
-    exps, ca, cb = mism
+    compared = len(lhs.terms.keys() | rhs.terms.keys())
+    exps, ca, cb = first_mismatch(lhs, rhs)
     return VerificationReport(
         name, "fail", caps=caps, compared=compared, details=details or {},
         witness={"monomial": exps, "lhs": ca, "rhs": cb},
@@ -106,34 +105,28 @@ def _entry_levels(s, hi, strict):
     return _tables(hi, lambda j, v: -(-v // s[j]))
 
 
-def _keyed_points(points, tables):
-    """(point, key) for the points whose table entries are all in cap."""
-    for f in points:
-        keys = list(map(getitem, tables, f))
-        if None not in keys:
-            yield f, sum(keys)
-
-
-def _level_graded(ctx, capt, counts):
-    """Sum over (key, m) -> c of c * key * (t^m + ... + t^capt).
+def _level_graded(ctx, capt, sums, width):
+    """Sum over key << width | m -> c of c * key * (t^m + ... + t^capt).
 
     A point enters the level-n region for all n at or beyond its entry
-    level m, so one enumeration of the level-capt region settles every t
-    power: points beyond that region only enter after capt and are
-    invisible here.  The keys carry no t, so adding a power of t to one
-    cannot carry.
+    level m, so one walk of the level-capt region settles every t power:
+    points beyond that region only enter after capt and are invisible here.
+    The keys carry no t, so adding a power of t to one cannot carry.
     """
     powers = [ctx.key_of({"t": n}) for n in range(capt + 1)]
+    mask = (1 << width) - 1
     total = ctx.zero()
     terms = total.terms
-    for (key, m), c in counts.items():
-        for power in powers[m:]:
+    for packed, c in sums.items():
+        key = packed >> width
+        for power in powers[packed & mask:]:
             k = key + power
             terms[k] = terms.get(k, 0) + c
     return total
 
 
-def _lhs_xy(ctx, P, s, capx, positive, primed, max_points, labels=None):
+def _lhs_xy(ctx, P, s, capx, positive, primed, max_points, max_steps,
+            labels=None):
     """Sum of x^q y^r over the poset's points with quotients within capx.
 
     Coordinate j of a point carries the variables x_l, y_l with
@@ -146,43 +139,34 @@ def _lhs_xy(ctx, P, s, capx, positive, primed, max_points, labels=None):
     else:
         lo, hi = [0] * P.p, [(capx + 1) * v - 1 for v in s]
     tables = _digit_keys(ctx, s, hi, primed, labels or P.elements)
-    counts = Counter(key for _, key in _keyed_points(
-        enumerate_points(P, s, lo, hi, max_points), tables))
-    return Series(ctx, counts)
+    sums, _ = _region_sum(ctx, P, s, lo, hi, tables, None, max_points,
+                          max_steps)
+    return Series(ctx, sums)
 
 
-def _lhs_xy_t(ctx, P, s, capt, positive, primed, strict, max_points):
+def _lhs_xy_t(ctx, P, s, capt, positive, primed, strict, max_points,
+              max_steps):
     """Like _lhs_xy but graded by the least n admitting each point."""
     lo = [1] * P.p if positive else [0] * P.p
     hi = [capt * v - 1 for v in s] if strict else [capt * v for v in s]
     tables = _digit_keys(ctx, s, hi, primed, P.elements)
     levels = _entry_levels(s, hi, strict)
-    points = enumerate_points(P, s, lo, hi, max_points)
-    return _level_graded(ctx, capt, Counter(
-        (key, max(map(getitem, levels, f), default=0))
-        for f, key in _keyed_points(points, tables)))
+    return _level_graded(ctx, capt, *_region_sum(
+        ctx, P, s, lo, hi, tables, levels, max_points, max_steps))
 
 
-def _level_graded_sums(ctx, P, s, capt, names, digits, max_points):
+def _level_graded_sums(ctx, P, s, capt, digits, max_points, max_steps):
     """Level-graded sum of the monomial of each point's digit totals.
 
-    digits(v, sv) gives one coordinate's exponents of the named variables,
-    and a point's monomial takes their totals over its coordinates.  The
-    totals are summed as plain integers and only then packed into a key.
+    digits(v, sv) gives one coordinate's exponents as a dict, and a point's
+    monomial takes their totals over its coordinates; the walk drops a
+    point as soon as a partial total is over its cap.
     """
     hi = [capt * v for v in s]
-    tables = _tables(hi, lambda j, v: digits(v, s[j]))
+    tables = _tables(hi, lambda j, v: ctx.key_of(digits(v, s[j])))
     levels = _entry_levels(s, hi, strict=False)
-    totals = Counter(
-        (tuple(map(sum, zip(*map(getitem, tables, f)))),
-         max(map(getitem, levels, f), default=0))
-        for f in enumerate_points(P, s, [0] * P.p, hi, max_points))
-    counts = Counter()
-    for (exps, m), c in totals.items():
-        key = ctx.key_of(dict(zip(names, exps)))
-        if key is not None:
-            counts[key, m] += c
-    return _level_graded(ctx, capt, counts)
+    return _level_graded(ctx, capt, *_region_sum(
+        ctx, P, s, [0] * P.p, hi, tables, levels, max_points, max_steps))
 
 
 def _bracket_terms(var, n):
@@ -308,16 +292,17 @@ def _rhs_uq(ctx, P, s, max_count):
 
 
 def _verify_xy(kind, positive, primed):
-    def run(P, s, capx, capt, max_points, max_count):
+    def run(P, s, capx, capt, max_points, max_count, max_steps):
         ctx = _ctx_xy(P, s, capx)
-        lhs = _lhs_xy(ctx, P, s, capx, positive, primed, max_points)
+        lhs = _lhs_xy(ctx, P, s, capx, positive, primed, max_points,
+                      max_steps)
         rhs, ext = _rhs_xy(ctx, P, s, kind, max_count)
         return _series_report(kind, {"x": capx}, lhs, rhs, {"extensions": ext})
 
     return run
 
 
-def _verify_RECI(P, s, capx, capt, max_points, max_count):
+def _verify_RECI(P, s, capx, capt, max_points, max_count, max_steps):
     """Positive primed points of the dual against complemented colors here.
 
     The left side lives on the order dual with the reversed color counts;
@@ -327,7 +312,7 @@ def _verify_RECI(P, s, capx, capt, max_points, max_count):
     """
     ctx = _ctx_xy(P, s, capx)
     lhs = _lhs_xy(ctx, P.dual(), tuple(reversed(s)), capx, positive=True,
-                  primed=True, max_points=max_points,
+                  primed=True, max_points=max_points, max_steps=max_steps,
                   labels=tuple(reversed(P.elements)))
     ascents = frozenset(range(1, P.p))
     rhs, ext = _staircase_side(ctx, P, s, max_count,
@@ -341,12 +326,13 @@ def _verify_R(kind):
     primed = kind == "R4"
     strict = kind == "R2"
 
-    def run(P, s, capx, capt, max_points, max_count):
+    def run(P, s, capx, capt, max_points, max_count, max_steps):
         if P.p == 0 and kind in ("R2", "R4"):
             return VerificationReport(
                 kind, "skip", reason="degenerate for the empty poset")
         ctx = _ctx_xy(P, s, capx, capt)
-        lhs = _lhs_xy_t(ctx, P, s, capt, positive, primed, strict, max_points)
+        lhs = _lhs_xy_t(ctx, P, s, capt, positive, primed, strict, max_points,
+                        max_steps)
         rhs, ext = _rhs_xy(ctx, P, s, kind, max_count)
         return _series_report(kind, {"x": capx, "t": capt}, lhs, rhs,
                               {"extensions": ext})
@@ -354,7 +340,7 @@ def _verify_R(kind):
     return run
 
 
-def _verify_COR6(P, s, capx, capt, max_points, max_count):
+def _verify_COR6(P, s, capx, capt, max_points, max_count, max_steps):
     """Antichain product form of the level-graded enumeration.
 
     Coordinate x contributes x_x^n + [n]_(x_x) [s(x)]_(y_x) at level n; the
@@ -377,7 +363,7 @@ def _verify_COR6(P, s, capx, capt, max_points, max_count):
                           {"extensions": ext})
 
 
-def _verify_EUL2(P, s, capx, capt, max_points, max_count):
+def _verify_EUL2(P, s, capx, capt, max_points, max_count, max_steps):
     """Descent count identities binding the four sets together.
 
     Always: the distribution of |D4| equals t times that of |D3|.  When every
@@ -390,9 +376,9 @@ def _verify_EUL2(P, s, capx, capt, max_points, max_count):
     if P.p == 0:
         return VerificationReport(
             "EUL2", "skip", reason="degenerate for the empty poset")
-    A = _descent_polynomial(P, s)
-    B = _descent_polynomial(P, s, start=True)
-    C = _descent_polynomial(P, s, shift=1, end=False)
+    A = _descent_polynomial(P, s, max_steps=max_steps)
+    B = _descent_polynomial(P, s, start=True, max_steps=max_steps)
+    C = _descent_polynomial(P, s, shift=1, end=False, max_steps=max_steps)
     extensions = A(1)
     minimal_one = all(s[x - 1] == 1 for x in P.minimal_elements())
     details = {"eulerian": A, "minimal_colors_one": minimal_one,
@@ -416,7 +402,7 @@ def _uq_caps(P, s, capt):
             "q": sum(v - 1 for v in s)}
 
 
-def _verify_UQ(P, s, capx, capt, max_points, max_count):
+def _verify_UQ(P, s, capx, capt, max_points, max_count, max_steps):
     """Level-graded joint distribution of digit sums.
 
     Left: each point, weighted q^(sum of remainders) u^(sum of quotients),
@@ -425,12 +411,14 @@ def _verify_UQ(P, s, capx, capt, max_points, max_count):
     """
     caps = _uq_caps(P, s, capt)
     ctx = SeriesContext(caps)
-    lhs = _level_graded_sums(ctx, P, s, capt, ("u", "q"), divmod, max_points)
+    lhs = _level_graded_sums(ctx, P, s, capt,
+                             lambda v, sv: dict(zip("uq", divmod(v, sv))),
+                             max_points, max_steps)
     rhs, ext = _rhs_uq(ctx, P, s, max_count)
     return _series_report("UQ", caps, lhs, rhs, {"extensions": ext})
 
 
-def _verify_LHP(P, s, capx, capt, max_points, max_count):
+def _verify_LHP(P, s, capx, capt, max_points, max_count, max_steps):
     """Level-graded size distribution against the lhp statistic.
 
     The letter of x is q^s(x), so z_j sums s over the suffix of pi from j.
@@ -439,14 +427,14 @@ def _verify_LHP(P, s, capx, capt, max_points, max_count):
     caps = {"t": capt,
             "q": capt * total_s + sum(v - 1 for v in s) + P.p * total_s}
     ctx = SeriesContext(caps)
-    lhs = _level_graded_sums(ctx, P, s, capt, ("q",), lambda v, sv: (v,),
-                             max_points)
+    lhs = _level_graded_sums(ctx, P, s, capt, lambda v, sv: {"q": v},
+                             max_points, max_steps)
     rhs, ext = _staircase_side(ctx, P, s, max_count, _by_d,
                                lambda x: {"q": s[x - 1]}, _q_color)
     return _series_report("LHP", caps, lhs, rhs, {"extensions": ext})
 
 
-def _verify_QV(P, s, capx, capt, max_points, max_count):
+def _verify_QV(P, s, capx, capt, max_points, max_count, max_steps):
     """Antichain product form of the joint digit distribution."""
     if P.covers:
         return VerificationReport("QV", "skip",
@@ -475,7 +463,7 @@ def _constant_antichain(P, s, name):
     return (s[0] if s else 1), None
 
 
-def _verify_KN1(P, s, capx, capt, max_points, max_count):
+def _verify_KN1(P, s, capx, capt, max_points, max_count, max_steps):
     """Power sums of q-brackets against the flag major index.
 
     fmaj = |r| + k comaj, so the letter of every element is q^k.
@@ -493,7 +481,7 @@ def _verify_KN1(P, s, capx, capt, max_points, max_count):
     return _series_report("KN1", caps, lhs, rhs, {"extensions": ext, "k": k})
 
 
-def _verify_KN(P, s, capx, capt, max_points, max_count):
+def _verify_KN(P, s, capx, capt, max_points, max_count, max_steps):
     """Color-refined count with a plain binomial denominator.
 
     Every letter is 1, so each staircase step is t alone.
@@ -518,7 +506,7 @@ def _verify_KN(P, s, capx, capt, max_points, max_count):
     return _series_report("KN", caps, lhs, rhs, {"extensions": ext, "k": k})
 
 
-def _verify_RECIPR(P, s, capx, capt, max_points, max_count):
+def _verify_RECIPR(P, s, capx, capt, max_points, max_count, max_steps):
     """verify_recipr, which takes s = rank + 1 and skips the posets outside
     its regime itself; any other s is skipped here.  A valid s is positive,
     so it can only be rank + 1 when the rank function is nonnegative.
@@ -528,7 +516,7 @@ def _verify_RECIPR(P, s, capx, capt, max_points, max_count):
             and tuple(s) != tuple(v + 1 for v in info.rho):
         return VerificationReport(
             "RECIPR", "skip", reason="stated for s = rank + 1")
-    return verify_recipr(P)
+    return verify_recipr(P, max_steps)
 
 
 _DISPATCH = {
@@ -552,19 +540,26 @@ _DISPATCH = {
 
 
 def verify_identity(name, P, s, capx=DEFAULT_CAPX, capt=DEFAULT_CAPT,
-                    max_points=None, max_count=None):
-    """Check one named identity on (P, s) out to the stated caps."""
+                    max_points=None, max_count=None, max_steps=None):
+    """Check one named identity on (P, s) out to the stated caps.
+
+    max_points caps the lattice points of a lattice side, max_count the
+    colored extensions of an extension side and max_steps every down-set
+    DP (EUL2, RECIPR and the point count behind max_points).
+    """
     if name not in _DISPATCH:
         raise InvalidInputError(
             f"unknown identity {name!r}; choose from {', '.join(IDENTITY_NAMES)}")
     s = validate_smap(P, s)
-    return _DISPATCH[name](P, s, capx, capt, max_points, max_count)
+    return _DISPATCH[name](P, s, capx, capt, max_points, max_count,
+                           max_steps)
 
 
 def verify_all(P, s, names=SUITE, capx=DEFAULT_CAPX, capt=DEFAULT_CAPT,
-               max_points=None, max_count=None):
+               max_points=None, max_count=None, max_steps=None):
     """Reports for each named identity, in the given order."""
-    return [verify_identity(n, P, s, capx, capt, max_points, max_count)
+    return [verify_identity(n, P, s, capx, capt, max_points, max_count,
+                            max_steps)
             for n in names]
 
 

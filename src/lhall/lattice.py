@@ -10,6 +10,7 @@ saturated chain witnessing x < y in labels some cover must descend.
 from __future__ import annotations
 
 from itertools import zip_longest
+from math import prod
 
 from .colored import (_pairs_by_ratio, eulerian_polynomial, refined_eulerian,
                       x_order)
@@ -29,6 +30,19 @@ def _ceil_div(a, b):
     return -((-a) // b)
 
 
+def _earlier_covers(P):
+    """Per element x, the covers that tie x to smaller labels, split into
+    the weak lower bounds u -< x and the strict upper bounds x -< u."""
+    lower_of = [[] for _ in range(P.p + 1)]
+    upper_of = [[] for _ in range(P.p + 1)]
+    for u, v in P.covers:
+        if u < v:
+            lower_of[v].append(u)
+        else:
+            upper_of[u].append(v)
+    return lower_of, upper_of
+
+
 def enumerate_points(P, s, lo, hi, max_points=None):
     """Yield the (P, s)-partition points f with lo[x] <= f(x) <= hi[x].
 
@@ -42,13 +56,7 @@ def enumerate_points(P, s, lo, hi, max_points=None):
         raise InvalidInputError("lo and hi must give one bound per element")
     limit = _cap(max_points, "LHALL_MAX_POINTS", DEFAULT_MAX_POINTS)
     p = P.p
-    lower_of = [[] for _ in range(p + 1)]  # u -< x with u < x: weak lower
-    upper_of = [[] for _ in range(p + 1)]  # x -< v with v < x: strict upper
-    for u, v in P.covers:
-        if u < v:
-            lower_of[v].append(u)
-        else:
-            upper_of[u].append(v)
+    lower_of, upper_of = _earlier_covers(P)
     f = [0] * (p + 1)
     count = 0
 
@@ -87,6 +95,91 @@ def enumerate_points(P, s, lo, hi, max_points=None):
         raise overflow()
     else:
         yield ()
+
+
+def _region_sum(ctx, P, s, lo, hi, tables, levels=None, max_points=None,
+                max_steps=None):
+    """Sum of packed monomials over the (P, s)-partition points of a box.
+
+    Coordinate j + 1 at value v weighs tables[j][v], a key of ctx or None,
+    and enters at level levels[j][v] when levels are given (else 0).  A
+    point weighs the sum of its entries and its level is their largest.
+    Returns (sums, w): sums maps key << w | level to the number of points
+    whose entries are all in cap and sum within the caps of ctx, and w is
+    the bit width of the largest level.
+
+    The walk assigns values in label order, as enumerate_points does, but
+    carries a layer of frontier states instead of single points: a state
+    holds the values of the assigned coordinates that a later cover still
+    reads, and maps each packed key << w | running level to the number of
+    partial points reaching it.  A value whose entry is None, or which
+    takes the running key past its caps (the SeriesContext guard test after
+    each addition), prunes its whole subtree; points that agree on the
+    frontier and the packed sum merge, which is the transfer-matrix method
+    (Stanley, EC1 4.7).
+
+    Refused up front when the level-n region holding the box, n the least
+    level with hi <= n s, has more lattice points than max_points (else
+    LHALL_MAX_POINTS); they are counted by ehrhart_counts only when the box
+    itself is larger than the cap.
+    """
+    limit = _cap(max_points, "LHALL_MAX_POINTS", DEFAULT_MAX_POINTS)
+    if prod(max(b - a + 1, 0) for a, b in zip(lo, hi)) > limit:
+        n = max((_ceil_div(b, v) for b, v in zip(hi, s)), default=0)
+        count = ehrhart_counts(P, s, n, max_steps)[n]
+        if count > limit:
+            raise ResourceLimitError(
+                f"{count} lattice points in the level-{n} region exceed the "
+                f"cap {limit}; raise LHALL_MAX_POINTS")
+    if levels is None:
+        levels = [[0] * len(t) for t in tables]
+    width = max((max(lv, default=0) for lv in levels), default=0).bit_length()
+    mask = (1 << width) - 1
+    bias, guard = ctx._bias << width, ctx._guard << width
+    lower_of, upper_of = _earlier_covers(P)
+    last = [0] * (P.p + 1)  # the last coordinate whose bounds read u
+    for x in P.elements:
+        for u in lower_of[x] + upper_of[x]:
+            last[u] = x
+    frontier = []
+    layer = {(): {0: 1}}
+    for x in P.elements:
+        at = {u: i for i, u in enumerate(frontier)}
+        sx = s[x - 1]
+        lows = [(at[u], s[u - 1]) for u in lower_of[x]]
+        ups = [(at[u], s[u - 1]) for u in upper_of[x]]
+        frontier.append(x)
+        keep = [i for i, u in enumerate(frontier) if last[u] > x]
+        frontier = [frontier[i] for i in keep]
+        entries = [None if k is None else (k << width, m)
+                   for k, m in zip(tables[x - 1], levels[x - 1])]
+        nxt = {}
+        for vals, sums in layer.items():
+            a, b = lo[x - 1], hi[x - 1]
+            for i, su in lows:
+                a = max(a, _ceil_div(vals[i] * sx, su))
+            for i, su in ups:
+                b = min(b, _ceil_div(vals[i] * sx, su) - 1)
+            items = sums.items()
+            for v in range(a, b + 1):
+                entry = entries[v]
+                if entry is None:
+                    continue
+                step, m = entry
+                ext = vals + (v,)
+                state = tuple([ext[i] for i in keep])
+                out = nxt.get(state)
+                if out is None:
+                    out = nxt[state] = {}
+                for key, c in items:
+                    key += step
+                    if (key + bias) & guard:
+                        continue
+                    if key & mask < m:
+                        key += m - (key & mask)
+                    out[key] = out.get(key, 0) + c
+        layer = nxt
+    return layer.get((), {}), width
 
 
 def partitions_leq(P, s, n, max_points=None):

@@ -39,9 +39,15 @@ def _bits(mask):
 
 
 def _toposort(p, covers):
+    """A topological order that depends only on the set of covers.
+
+    Ready elements wait on a stack that starts with the minimal elements,
+    the smallest on top, and each element pushes the successors it
+    releases in label order; _chain_bound and sign_rank read this order.
+    """
     succ = [[] for _ in range(p + 1)]
     indeg = [0] * (p + 1)
-    for x, y in covers:
+    for x, y in sorted(covers):
         succ[x].append(y)
         indeg[y] += 1
     ready = [x for x in range(p, 0, -1) if indeg[x] == 0]

@@ -6,19 +6,24 @@ order (not just the covers), descent sets are recomputed with exact
 division, Eulerian polynomials, plain or color-weighted, come from walking
 every colored extension, level counts from a depth-first walk over the
 points, sign-ranked posets from filtering every labeled poset, classical
-Eulerian numbers from counting descents of uncolored permutations, and
-truncated series arithmetic on exponent tuples.  The helpers only tests use
-live here too: corpus lookup by name, posets from arbitrary relations, and
-the strict order.
+Eulerian numbers from counting descents of uncolored permutations,
+truncated series arithmetic on exponent tuples, and the lattice sides of
+the identities from one enumerated point at a time.  The helpers only tests
+use live here too: corpus lookup by name, posets from arbitrary relations,
+and the strict order.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
+from operator import getitem
 
 from hypothesis import strategies as st
 
-from lhall import (CORPUS, InvalidInputError, LabeledPoset,
-                   linear_extensions, make_antichain, sign_rank)
+from lhall import (CORPUS, InvalidInputError, LabeledPoset, Series,
+                   enumerate_points, linear_extensions, make_antichain,
+                   sign_rank)
+from lhall.identities import _digit_keys, _entry_levels, _tables
 from lhall.posets import _bits
 
 
@@ -291,6 +296,74 @@ def series_first_mismatch(a, b):
         if a.get(key, 0) != b.get(key, 0):
             return key, a.get(key, 0), b.get(key, 0)
     return None
+
+
+def _keyed_points(points, tables):
+    """(point, key) for the points whose table entries are all in cap."""
+    for f in points:
+        keys = list(map(getitem, tables, f))
+        if None not in keys:
+            yield f, sum(keys)
+
+
+def _level_graded(ctx, capt, counts):
+    """Sum over (key, m) -> c of c * key * (t^m + ... + t^capt)."""
+    total = ctx.zero()
+    for (key, m), c in counts.items():
+        for n in range(m, capt + 1):
+            total._add_term(key + ctx.key_of({"t": n}), c)
+    return total
+
+
+def _max_level(levels, f):
+    return max(map(getitem, levels, f), default=0)
+
+
+def lhs_xy_by_points(ctx, P, s, capx, positive, primed, labels=None):
+    """The x/y lattice side of F, F_PLUS, G (and RECI on the dual with
+    mirrored labels), summed over enumerate_points."""
+    if primed:
+        lo, hi = [1] * P.p, [(capx + 1) * v for v in s]
+    elif positive:
+        lo, hi = [1] * P.p, [(capx + 1) * v - 1 for v in s]
+    else:
+        lo, hi = [0] * P.p, [(capx + 1) * v - 1 for v in s]
+    tables = _digit_keys(ctx, s, hi, primed, labels or P.elements)
+    counts = Counter(key for _, key in _keyed_points(
+        enumerate_points(P, s, lo, hi), tables))
+    return Series(ctx, counts)
+
+
+def lhs_xy_t_by_points(ctx, P, s, capt, positive, primed, strict):
+    """The level-graded x/y lattice side of R1-R4, over enumerate_points."""
+    lo = [1] * P.p if positive else [0] * P.p
+    hi = [capt * v - 1 for v in s] if strict else [capt * v for v in s]
+    tables = _digit_keys(ctx, s, hi, primed, P.elements)
+    levels = _entry_levels(s, hi, strict)
+    points = enumerate_points(P, s, lo, hi)
+    return _level_graded(ctx, capt, Counter(
+        (key, _max_level(levels, f))
+        for f, key in _keyed_points(points, tables)))
+
+
+def level_graded_sums_by_points(ctx, P, s, capt, names, digits):
+    """The UQ and LHP lattice sides: digits(v, sv) gives one coordinate's
+    exponents of the named variables as a tuple, a point's monomial takes
+    their totals, and a total over its cap drops the point."""
+    hi = [capt * v for v in s]
+    tables = _tables(hi, lambda j, v: digits(v, s[j]))
+    levels = _entry_levels(s, hi, strict=False)
+    totals = Counter(
+        (tuple(map(sum, zip(*map(getitem, tables, f)))),
+         _max_level(levels, f))
+        for f in enumerate_points(P, s, [0] * P.p, hi))
+    counts = Counter()
+    for (exps, m), c in totals.items():
+        key = ctx.key_of(dict(zip(names, exps)))
+        if key is not None:
+            counts[key, m] += c
+    return _level_graded(ctx, capt, counts)
+
 
 @st.composite
 def posets(draw, min_p=0, max_p=5):

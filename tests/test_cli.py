@@ -150,6 +150,13 @@ def test_cap_variable_that_is_not_an_integer(capsys, monkeypatch):
                                  env={"LHALL_MAX_POINTS": "abc"})
     assert_unusable_input(code, err)
     assert "LHALL_MAX_POINTS" in err
+    # an identity's lattice side reads the point cap before its walk too
+    monkeypatch.setenv("LHALL_MAX_POINTS", "abc")
+    code, out, err = run(capsys, "verify", "--identity", "R1",
+                         "--poset", "chain:1,2;s=1,2")
+    assert_unusable_input(code, err)
+    assert "LHALL_MAX_POINTS" in err
+    monkeypatch.delenv("LHALL_MAX_POINTS")
     monkeypatch.setenv("LHALL_MAX_DP", "abc")
     code, out, err = run(capsys, "ehrhart", "--poset", "chain:1,2",
                          "--s", "1,1", "--nmax", "2")

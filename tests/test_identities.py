@@ -6,7 +6,8 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lhall import (InvalidInputError, Polynomial, SeriesContext,
+from lhall import (InvalidInputError, Polynomial, ResourceLimitError,
+                   SeriesContext,
                    count_linear_extensions, eulerian_polynomial,
                    first_mismatch, kn_descent_polynomial, make_antichain,
                    make_chain, partitions_lt, qr_decompose, verify_all,
@@ -14,7 +15,9 @@ from lhall import (InvalidInputError, Polynomial, SeriesContext,
 from lhall import identities
 from lhall.identities import IDENTITY_NAMES, SUITE
 from oracles import (box_points, classical_eulerian, corpus_get,
-                     kn_by_extensions, posets, series_first_mismatch, smaps)
+                     kn_by_extensions, level_graded_sums_by_points,
+                     lhs_xy_by_points, lhs_xy_t_by_points, posets,
+                     series_first_mismatch, smaps, smaps_within)
 
 SAMPLE = ("chain2-nat-s12", "chain2-rev-s21", "antichain2-s22", "vee-s112",
           "n-poset-s1212", "unrankable-s212")
@@ -101,6 +104,39 @@ def test_verify_identity_validates_input():
         verify_identity("NOPE", make_antichain(1), (1,))
     with pytest.raises(InvalidInputError):
         verify_identity("F", make_antichain(1), (0,))
+
+
+def test_point_cap_refuses_a_lattice_side_before_the_walk():
+    # the point cap counts the level-n region that holds the side's box,
+    # (n + 1)^2 points on the chain 1 -< 2 with s = (1, 2): n = capx + 1 = 4
+    # for F and n = capt = 5 for R1
+    P, s = make_chain((1, 2)), (1, 2)
+    with pytest.raises(ResourceLimitError,
+                       match=r"^25 lattice points in the level-4 region exceed "
+                             r"the cap 1; raise LHALL_MAX_POINTS$"):
+        verify_identity("F", P, s, max_points=1)
+    with pytest.raises(ResourceLimitError, match="36 lattice points.*cap 35"):
+        verify_identity("R1", P, s, max_points=35)
+    assert verify_identity("R1", P, s, max_points=36).passed
+    # RECI counts on the dual with s reversed, 20 points at level 4
+    with pytest.raises(ResourceLimitError, match="20 lattice points.*cap 19"):
+        verify_identity("RECI", P, s, max_points=19)
+    assert verify_identity("RECI", P, s, max_points=20).passed
+    for name in SUITE:
+        if name not in ("COR6", "EUL2", "QV"):
+            with pytest.raises(ResourceLimitError, match="LHALL_MAX_POINTS"):
+                verify_identity(name, P, s, max_points=1)
+
+
+def test_dp_cap_reaches_eul2_and_recipr(monkeypatch):
+    monkeypatch.delenv("LHALL_MAX_DP", raising=False)
+    P = make_chain((1, 2, 3))
+    for name, s in (("EUL2", (1, 2, 3)), ("RECIPR", (1, 2, 3))):
+        with pytest.raises(ResourceLimitError, match="LHALL_MAX_DP"):
+            verify_identity(name, P, s, max_steps=1)
+        assert verify_identity(name, P, s).passed
+    with pytest.raises(ResourceLimitError, match="LHALL_MAX_DP"):
+        verify_all(P, (1, 2, 3), names=("EUL2",), max_steps=1)
 
 
 def test_eul2_details():
@@ -210,32 +246,88 @@ def test_dropped_point_gives_the_smallest_witness(monkeypatch, name):
     _, P, s = corpus_get("vee-s112")
     capx, capt = 3, 5
     assert verify_identity(name, P, s, capx, capt).passed
-    original = identities.enumerate_points
-    dropped = []
-
-    def drop_one(*args, **kwargs):
-        for i, f in enumerate(original(*args, **kwargs)):
-            if i == 3:
-                dropped.append(f)
-            else:
-                yield f
-
-    monkeypatch.setattr(identities, "enumerate_points", drop_one)
-    report = verify_identity(name, P, s, capx, capt)
-    assert report.status == "fail" and len(dropped) == 1
-    # the failed report still says how many extensions it walked
-    assert report.details["extensions"] == (count_linear_extensions(P)
-                                            * prod(s))
-
     if name == "F":
         hi, cap_t = [(capx + 1) * v - 1 for v in s], None
     else:
         hi, cap_t = [capt * v for v in s], capt
     full = box_points(P, s, [0] * P.p, hi)
-    kept = [f for f in full if f != dropped[0]]
+    dropped = full[3]  # the fourth point in lexicographic order
+    original = identities._region_sum
+    calls = []
+
+    def drop_one(ctx, P, s, lo, hi, tables, levels, *caps):
+        # take the dropped point's own entry, walked alone, off the sums
+        sums, width = original(ctx, P, s, lo, hi, tables, levels, *caps)
+        (entry,) = original(ctx, P, s, dropped, dropped, tables, levels)[0]
+        calls.append(sums[entry])
+        sums[entry] -= 1
+        if not sums[entry]:
+            del sums[entry]
+        return sums, width
+
+    monkeypatch.setattr(identities, "_region_sum", drop_one)
+    report = verify_identity(name, P, s, capx, capt)
+    assert report.status == "fail" and len(calls) == 1 and calls[0] >= 1
+    # the failed report still says how many extensions it walked
+    assert report.details["extensions"] == (count_linear_extensions(P)
+                                            * prod(s))
+
+    kept = [f for f in full if f != dropped]
     key, ca, cb = series_first_mismatch(_oracle_lhs(kept, s, capx, cap_t),
                                         _oracle_lhs(full, s, capx, cap_t))
     names = ([f"x{x}" for x in P.elements] + [f"y{x}" for x in P.elements]
              + (["t"] if cap_t is not None else []))
     monomial = {n: e for n, e in zip(names, key) if e}
     assert report.witness == {"monomial": monomial, "lhs": ca, "rhs": cb}
+
+
+@st.composite
+def _side_cases(draw):
+    """(P, s, capx, capt), the largest box of the nine sides kept near 4,000
+    points so that the enumerating oracle stays cheap."""
+    P = draw(posets(max_p=5))
+    capx, capt = draw(st.integers(0, 3)), draw(st.integers(0, 5))
+    top = max(capx + 1, capt)
+    s = draw(smaps_within(P, 4000, lambda v: top * v + 1, max_s=3))
+    return P, s, capx, capt
+
+
+@settings(max_examples=60, deadline=None)
+@given(_side_cases())
+def test_lattice_sides_match_point_enumeration(case):
+    # the frontier walk against one enumerated point at a time, on all nine
+    # lattice sides; the tight UQ and LHP caps make digit totals overflow
+    P, s, capx, capt = case
+    ctx = identities._ctx_xy(P, s, capx)
+    for positive, primed in ((False, False), (True, False), (True, True)):
+        assert identities._lhs_xy(
+            ctx, P, s, capx, positive, primed, None, None
+        ).terms == lhs_xy_by_points(ctx, P, s, capx, positive, primed).terms
+    dual, sd, mirrored = P.dual(), tuple(reversed(s)), P.elements[::-1]
+    assert identities._lhs_xy(
+        ctx, dual, sd, capx, True, True, None, None, mirrored
+    ).terms == lhs_xy_by_points(ctx, dual, sd, capx, True, True,
+                                mirrored).terms
+    ctx = identities._ctx_xy(P, s, capx, capt)
+    for positive, primed, strict in ((False, False, False),
+                                     (False, False, True),
+                                     (True, False, False),
+                                     (True, True, False)):
+        assert identities._lhs_xy_t(
+            ctx, P, s, capt, positive, primed, strict, None, None
+        ).terms == lhs_xy_t_by_points(ctx, P, s, capt, positive, primed,
+                                      strict).terms
+    total_s = sum(s)
+    lhp_caps = {"t": capt,
+                "q": capt * total_s + sum(v - 1 for v in s) + P.p * total_s}
+    for caps, names, digits in (
+            (identities._uq_caps(P, s, capt), "uq", divmod),
+            ({"t": capt, "u": 3, "q": 2}, "uq", divmod),
+            (lhp_caps, "q", lambda v, sv: (v,)),
+            ({"t": capt, "q": 7}, "q", lambda v, sv: (v,))):
+        ctx = SeriesContext(caps)
+        walked = identities._level_graded_sums(
+            ctx, P, s, capt, lambda v, sv: dict(zip(names, digits(v, sv))),
+            None, None)
+        assert walked.terms == level_graded_sums_by_points(
+            ctx, P, s, capt, names, digits).terms, (caps, names)

@@ -1,7 +1,9 @@
 """Construction, queries, duality and extension machinery for labeled posets."""
 
+from itertools import permutations
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from lhall import (InvalidInputError, LabeledPoset, ResourceLimitError,
                    colored_extensions, count_linear_extensions,
@@ -224,3 +226,22 @@ def test_chain_bound_brackets_the_down_sets(P):
         if all(not mask >> (y - 1) & 1 or mask >> (x - 1) & 1
                for x, y in P.covers))
     assert down_sets <= _chain_bound(P) <= 2 ** P.p
+
+
+def test_topological_order_ignores_how_the_covers_are_listed():
+    # the same three covers in any order give one _topo and one bound; the
+    # order of the cover set used to leave 9 or 8 here
+    covers = [(2, 3), (2, 4), (3, 1)]
+    built = {(P._topo, _chain_bound(P))
+             for P in (LabeledPoset(4, frozenset(order))
+                       for order in permutations(covers))}
+    assert built == {((2, 4, 3, 1), 9)}
+
+
+@settings(max_examples=100)
+@given(posets(max_p=6), st.randoms(use_true_random=False))
+def test_topological_order_depends_only_on_the_poset(P, rng):
+    covers = sorted(P.covers)
+    rng.shuffle(covers)
+    Q = LabeledPoset(P.p, frozenset(covers))
+    assert Q._topo == P._topo and _chain_bound(Q) == _chain_bound(P)
