@@ -18,9 +18,9 @@ from .identities import (IDENTITY_NAMES, SUITE, kn_descent_polynomial,
                          verify_all, verify_identity, verify_kn, verify_kn1)
 from .lattice import (bij_eta, bij_u, ehrhart_counts, enumerate_points,
                       eulerian_via_ehrhart, is_partition_point, partitions_leq,
-                      partitions_lt, qr_decompose, scan_gamma,
-                      verify_bijection, verify_cone_decomposition,
-                      verify_ordinal_interlacing, verify_recipr)
+                      partitions_lt, scan_gamma, verify_bijection,
+                      verify_cone_decomposition, verify_ordinal_interlacing,
+                      verify_recipr)
 from .polys import (Polynomial, compose_linear, gamma_vector,
                     hstar_from_counts, int_coefficients, interpolate,
                     is_palindromic, monomial)

@@ -3,8 +3,9 @@
 An s-colored permutation is a pair tau = (pi, r) where pi permutes
 {1, ..., p} and r grants each element x a color in {0, ..., s(x) - 1}.
 Attached to a labeled poset we keep only those pi that are linear extensions.
-Colors compare through the fractions r(x)/s(x); every comparison below runs
-on cross-multiplied integers, never on floats.
+Colors compare through the fractions r(x)/s(x), ties broken by the labels:
+_pairs_by_ratio ranks the pairs (r(x), x) in that order on integers, never
+on floats, and a step of a word descends exactly when the rank falls.
 """
 
 from __future__ import annotations
@@ -43,9 +44,6 @@ class ColoredPermutation:
                 raise InvalidInputError(f"color {r!r} is not a nonnegative "
                                         "integer")
 
-    def color(self, x):
-        return self.colors[x - 1]
-
 
 @dataclass(frozen=True)
 class DescentProfile:
@@ -67,36 +65,20 @@ class DescentProfile:
 
 
 def descent_profile(tau, s):
-    """Compute all five descent sets of tau in one sweep."""
+    """Compute all five descent sets of tau from the ranks of its pairs."""
     pi, colors = tau.pi, tau.colors
     p = len(pi)
     if len(colors) != p or len(s) != p:
         raise InvalidInputError("pi, colors and s must all have length p")
-    d1 = set()
-    d3 = set()
-    for i in range(p - 1):
-        a, b = pi[i], pi[i + 1]
-        ra, rb = colors[a - 1], colors[b - 1]
-        sa, sb = s[a - 1], s[b - 1]
-        tie = a > b
-        lhs, rhs = ra * sb, rb * sa
-        if lhs > rhs or (tie and lhs == rhs):
-            d1.add(i + 1)
-        lhs, rhs = lhs + sb, rhs + sa
-        if lhs > rhs or (tie and lhs == rhs):
-            d3.add(i + 1)
-    d2 = set(d1)
-    d4 = set(d1)
-    d = set(d1)
-    if p:
-        if colors[pi[0] - 1] == 0:
-            d2.add(0)
-            d4.add(0)
-        if colors[pi[-1] - 1] > 0:
-            d.add(p)
-            d4.add(p)
-    return DescentProfile(frozenset(d1), frozenset(d2), frozenset(d3),
-                          frozenset(d4), frozenset(d))
+    for x in pi:
+        if not 0 <= colors[x - 1] < s[x - 1]:
+            raise InvalidInputError(f"color of element {x} is out of range")
+    rank, shifted = _ranks(s, 0), _ranks(s, 1)
+    d1 = frozenset(_falls([rank[colors[x - 1], x] for x in pi]))
+    d3 = frozenset(_falls([shifted[colors[x - 1] + 1, x] for x in pi]))
+    first = {0} if p and colors[pi[0] - 1] == 0 else set()
+    last = {p} if p and colors[pi[-1] - 1] > 0 else set()
+    return DescentProfile(d1, d1 | first, d3, d1 | first | last, d1 | last)
 
 
 def colored_extensions(P, s, max_count=None):
@@ -142,6 +124,18 @@ def _pairs_by_ratio(s, shift):
     pairs = [(k, x) for x, v in enumerate(s, 1) for k in range(shift, v + shift)]
     pairs.sort(key=lambda g: (g[0] * (scale // s[g[1] - 1]), g[1]))
     return pairs
+
+
+def _ranks(s, shift):
+    """(k, x) -> the rank of the pair in _pairs_by_ratio(s, shift)."""
+    return {g: j for j, g in enumerate(_pairs_by_ratio(s, shift))}
+
+
+def _falls(ranks):
+    """The 1-based positions i < len(ranks) where the rank falls from
+    position i to i + 1: the descents of a word whose pairs have these
+    ranks in _pairs_by_ratio."""
+    return [i for i in range(1, len(ranks)) if ranks[i - 1] > ranks[i]]
 
 
 def x_order(P, s):

@@ -14,23 +14,25 @@ positions j..p of pi, with z_{p+1} = 1.  The side is
     sum over tau of  prod_x color(x, r(x)) * prod_{i in D} z_{i+1} t^(|D| + e)
                      / ((1 - t) prod_j (1 - z_j t)),
 
-where the descent set D and the extra power e come from tau's descent
-profile, and the identity fixes the letter, the color weight and the rule
-for (D, e).  An ungraded side drops t and the factor 1 - t.
+where the identity fixes the letter, the color weight and the rule for
+the descent set D and the extra power e.  D is read as the down-set DP of
+colored reads it: rank the pairs (r(x) + shift, x) by _pairs_by_ratio, and
+a step of pi descends exactly when the rank falls.  An ungraded side drops
+t and the factor 1 - t.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, groupby
+from itertools import product
 from math import prod
-from operator import attrgetter, getitem
 
-from .colored import _descent_polynomial, colored_extensions, descent_profile
+from .colored import _descent_polynomial, _falls, _ranks
 from .errors import InvalidInputError
-from .lattice import _region_sum, qr_decompose, verify_recipr
+from .lattice import _region_sum, verify_recipr
 from .polys import Polynomial, monomial
-from .posets import make_antichain, sign_rank, validate_smap
+from .posets import (_check_walk, _walk_extensions, make_antichain, sign_rank,
+                     validate_smap)
 from .reports import VerificationReport
 from .series import Series, SeriesContext, first_mismatch
 
@@ -92,7 +94,8 @@ def _digit_keys(ctx, s, hi, primed, labels):
     def entry(j, v):
         if primed and v < 1:
             return None
-        (q,), (r,) = qr_decompose((v,), (s[j],), primed)
+        q, r = divmod(v - primed, s[j])
+        r += primed
         return ctx.key_of({f"x{labels[j]}": q, f"y{labels[j]}": r})
 
     return _tables(hi, entry)
@@ -197,62 +200,70 @@ def _lhs_independent_products(ctx, P, factor_terms, capt):
 # colored extension sides
 
 
-def _staircase_side(ctx, P, s, max_count, rule, letter, color):
+def _staircase_side(ctx, P, s, max_count, row, letter, color):
     """The staircase form of the module docstring, summed over (P, s).
 
-    letter(x) and color(x, r) give exponent dicts, and rule maps a descent
-    profile to (D, e).  The side is graded exactly when ctx has a variable
-    t.  With w_i = z_{i+1} t (graded) or z_{i+1} (not graded), a descent at
-    i contributes w_i, and the denominator is the product of 1 - w_i over
-    i = 0..p (i < p when not graded, since w_p = 1 there).  Extensions whose
-    pi gives the same staircase (w_0, ..., w_p) share one numerator, and each
-    distinct denominator is expanded once and multiplied in once.  Returns
-    the series and the number of extensions summed.
+    letter(x) and color(x, r) give exponent dicts, and row = (shift, start,
+    end, extra, reverse) gives (D, e) in the terms of _descent_polynomial:
+    i in D for 0 < i < p exactly when the rank of the pair (r + shift, x)
+    in _pairs_by_ratio falls from position i to i + 1 (rises, with
+    reverse); with start, 0 is in D when the first color is zero; with end,
+    p is in D when the last color is positive; and e = extra.  The side is
+    graded exactly when ctx has a variable t.  With w_i = z_{i+1} t
+    (graded) or z_{i+1} (not graded), a descent at i contributes w_i, and
+    the denominator is the product of 1 - w_i over i = 0..p (i < p when not
+    graded, since w_p = 1 there).  Extensions whose pi gives the same
+    staircase (w_0, ..., w_p) share one numerator, which is divided by each
+    1 - w_i in turn.  Returns the series and the number of extensions
+    summed.
     """
+    shift, start, end, extra, reverse = row
+    colorings = prod(s)
+    _check_walk(P, colorings, max_count)
     graded = "t" in ctx.index
-    key_of = ctx.key_of
-    letters = {x: letter(x) for x in P.elements}
-    paint = [[key_of(color(x, r)) for r in range(v)]
-             for x, v in zip(P.elements, s)]
-    w_p = {"t": 1} if graded else {}
-    lift = (0, key_of(w_p)) if graded else (0,)
+    key_of, key_product = ctx.key_of, ctx.key_product
+    rank, sign = _ranks(s, shift), -1 if reverse else 1
+    cells = {x: [sign * rank[r + shift, x] for r in range(v)]
+             for x, v in zip(P.elements, s)}
+    letters = {x: key_of(letter(x)) for x in P.elements}
+    paint = {x: [key_of(color(x, r)) for r in range(v)]
+             for x, v in zip(P.elements, s)}
+    w_p = key_of({"t": 1}) if graded else 0
+    base = w_p if extra else 0
     sides = {}
     extensions = 0
-    for pi, taus in groupby(colored_extensions(P, s, max_count),
-                            key=attrgetter("pi")):
-        # steps[i] = w_i: from w_p, multiply in the letters right to left
-        steps = list(accumulate(map(letters.get, reversed(pi)), _times,
-                                initial=w_p))[::-1]
-        stair = tuple(map(key_of, steps))
-        side = sides.get(stair)
-        if side is None:
-            side = sides[stair] = (steps if graded else steps[:-1], {})
-        num = side[1]
-        for tau in taus:
-            extensions += 1
-            dset, extra = rule(descent_profile(tau, s))
-            key = ctx.key_product([lift[extra],
-                                   *map(getitem, paint, tau.colors),
-                                   *[stair[i] for i in dset]])
+    for pi in _walk_extensions(P):
+        # stair[i] = w_i: from w_p, multiply in the letters right to left
+        stair = [w_p]
+        for x in reversed(pi):
+            stair.append(key_product((stair[-1], letters[x])))
+        stair = tuple(reversed(stair))
+        num = sides.setdefault(stair, {})
+        # per position, the ranks and the color keys of its pairs; the
+        # descents at 0 and p hang on the first and last colors alone
+        paints = [paint[x] for x in pi]
+        if start and pi:
+            first = paints[0]
+            paints[0] = [key_product((first[0], stair[0])), *first[1:]]
+        if end and pi:
+            last = paints[-1]
+            paints[-1] = [last[0], *[key_product((k, stair[-1]))
+                                     for k in last[1:]]]
+        for word, keys in zip(product(*map(cells.get, pi)),
+                              product(*paints)):
+            key = key_product((base, *keys,
+                               *[stair[i] for i in _falls(word)]))
             if key is not None:
                 num[key] = num.get(key, 0) + 1
+        extensions += colorings
     total = ctx.zero()
-    for steps, num in sides.values():
-        denom = ctx.one()
-        for w in steps:
-            denom = denom * ctx.geometric(w)
-        for key, c in (Series(ctx, num) * denom).terms.items():
+    for stair, num in sides.items():
+        side = Series(ctx, num)
+        for w in stair if graded else stair[:-1]:
+            side = side._over_one_minus(w)
+        for key, c in side.terms.items():
             total._add_term(key, c)
     return total, extensions
-
-
-def _times(a, b):
-    """The product of two monomials given as exponent dicts."""
-    return {**a, **{n: a.get(n, 0) + e for n, e in b.items()}}
-
-
-def _by_d(prof):
-    return prof.d, 0
 
 
 def _x_letter(x):
@@ -263,27 +274,33 @@ def _q_color(x, r):
     return {"q": r}
 
 
-# the x/y identities: kind -> (descent rule, shift of y_x's exponent over r)
+# descent rows (shift, start, end, extra, reverse) of _staircase_side: d1
+# is where the rank falls, d2 adds 0 to it, d adds p, d4 adds both, d3
+# ranks r + 1, and _RISES, RECI's ascents outside d1, is where it rises
+_D = (0, False, True, 0, False)
+_RISES = (0, False, False, 0, True)
+
+# the x/y identities: kind -> (descent row, shift of y_x's exponent over r)
 _XY_ROWS = {
-    "F": (lambda prof: (prof.d1, 0), 0),
-    "F_PLUS": (lambda prof: (prof.d2, 0), 0),
-    "G": (lambda prof: (prof.d3, 0), 1),
-    "R1": (_by_d, 0),
-    "R2": (lambda prof: (prof.d1, 1), 0),
-    "R3": (lambda prof: (prof.d4, 0), 0),
-    "R4": (lambda prof: (prof.d3, 1), 1),
+    "F": ((0, False, False, 0, False), 0),
+    "F_PLUS": ((0, True, False, 0, False), 0),
+    "G": ((1, False, False, 0, False), 1),
+    "R1": (_D, 0),
+    "R2": ((0, False, False, 1, False), 0),
+    "R3": ((0, True, True, 0, False), 0),
+    "R4": ((1, False, False, 1, False), 1),
 }
 
 
 def _rhs_xy(ctx, P, s, kind, max_count):
-    rule, shift = _XY_ROWS[kind]
-    return _staircase_side(ctx, P, s, max_count, rule, _x_letter,
+    row, shift = _XY_ROWS[kind]
+    return _staircase_side(ctx, P, s, max_count, row, _x_letter,
                            lambda x, r: {f"y{x}": r + shift})
 
 
 def _rhs_uq(ctx, P, s, max_count):
     """q^|r| u^comaj t^des over the staircase of u^p t, ..., u t, t."""
-    return _staircase_side(ctx, P, s, max_count, _by_d, lambda x: {"u": 1},
+    return _staircase_side(ctx, P, s, max_count, _D, lambda x: {"u": 1},
                            _q_color)
 
 
@@ -314,9 +331,7 @@ def _verify_RECI(P, s, capx, capt, max_points, max_count, max_steps):
     lhs = _lhs_xy(ctx, P.dual(), tuple(reversed(s)), capx, positive=True,
                   primed=True, max_points=max_points, max_steps=max_steps,
                   labels=tuple(reversed(P.elements)))
-    ascents = frozenset(range(1, P.p))
-    rhs, ext = _staircase_side(ctx, P, s, max_count,
-                               lambda prof: (ascents - prof.d1, 0), _x_letter,
+    rhs, ext = _staircase_side(ctx, P, s, max_count, _RISES, _x_letter,
                                lambda x, r: {f"y{x}": s[x - 1] - r})
     return _series_report("RECI", {"x": capx}, lhs, rhs, {"extensions": ext})
 
@@ -429,7 +444,7 @@ def _verify_LHP(P, s, capx, capt, max_points, max_count, max_steps):
     ctx = SeriesContext(caps)
     lhs = _level_graded_sums(ctx, P, s, capt, lambda v, sv: {"q": v},
                              max_points, max_steps)
-    rhs, ext = _staircase_side(ctx, P, s, max_count, _by_d,
+    rhs, ext = _staircase_side(ctx, P, s, max_count, _D,
                                lambda x: {"q": s[x - 1]}, _q_color)
     return _series_report("LHP", caps, lhs, rhs, {"extensions": ext})
 
@@ -476,7 +491,7 @@ def _verify_KN1(P, s, capx, capt, max_points, max_count, max_steps):
     ctx = SeriesContext(caps)
     lhs = _lhs_independent_products(
         ctx, P, lambda x, n: _bracket_terms("q", k * n + 1), capt)
-    rhs, ext = _staircase_side(ctx, P, s, max_count, _by_d,
+    rhs, ext = _staircase_side(ctx, P, s, max_count, _D,
                                lambda x: {"q": k}, _q_color)
     return _series_report("KN1", caps, lhs, rhs, {"extensions": ext, "k": k})
 
@@ -501,7 +516,7 @@ def _verify_KN(P, s, capx, capt, max_points, max_count, max_steps):
         return terms
 
     lhs = _lhs_independent_products(ctx, P, factor_terms, capt)
-    rhs, ext = _staircase_side(ctx, P, s, max_count, _by_d, lambda x: {},
+    rhs, ext = _staircase_side(ctx, P, s, max_count, _D, lambda x: {},
                                lambda x, r: {f"q{x}": r})
     return _series_report("KN", caps, lhs, rhs, {"extensions": ext, "k": k})
 

@@ -211,28 +211,6 @@ def is_partition_point(P, s, f):
     return True
 
 
-def qr_decompose(f, s, primed=False):
-    """Componentwise digits of f against s, as a (quotients, remainders) pair.
-
-    Unprimed: f = q s + r with 0 <= r < s and f >= 0.  Primed: remainders
-    shifted into {1, ..., s}, which needs f >= 1 componentwise.
-    """
-    qs, rs = [], []
-    for v, sv in zip(f, s):
-        if primed:
-            if v < 1:
-                raise InvalidInputError("primed digits need positive values")
-            q, r = divmod(v - 1, sv)
-            r += 1
-        else:
-            if v < 0:
-                raise InvalidInputError("digits need nonnegative values")
-            q, r = divmod(v, sv)
-        qs.append(q)
-        rs.append(r)
-    return tuple(qs), tuple(rs)
-
-
 def ehrhart_counts(P, s, nmax, max_steps=None):
     """[number of points with f(x) <= n s(x) for all x] for n = 0, ..., nmax.
 

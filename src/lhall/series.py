@@ -123,18 +123,7 @@ class SeriesContext:
         m must have at least one positive exponent and none negative, so the
         expansion leaves the retained window after finitely many powers.
         """
-        step = self.key_of(exps)
-        if step == 0:
-            raise InvalidInputError("geometric expansion of 1 diverges")
-        terms = {0: 1}
-        if step is None:
-            return Series(self, terms)
-        bias, guard = self._bias, self._guard
-        power = step
-        while not (power + bias) & guard:
-            terms[power] = 1
-            power += step
-        return Series(self, terms)
+        return self.one()._over_one_minus(self.key_of(exps))
 
 
 class Series:
@@ -188,6 +177,27 @@ class Series:
                         terms[key] = new
                     else:
                         del terms[key]
+        return out
+
+    def _over_one_minus(self, step):
+        """This series divided by 1 - m, m the monomial with key step.
+
+        Each term k spreads along k, k + step, k + 2 step, ... up to the
+        caps.  A step of None (m over a cap) leaves the series as it is,
+        since 1/(1 - m) is 1 in the window; a step of 0 diverges.
+        """
+        if step == 0:
+            raise InvalidInputError("geometric expansion of 1 diverges")
+        if step is None:
+            return Series(self.ctx, self.terms)
+        bias, guard = self.ctx._bias, self.ctx._guard
+        out = Series(self.ctx)
+        terms = out.terms
+        for key, c in self.terms.items():
+            while not (key + bias) & guard:
+                terms[key] = terms.get(key, 0) + c
+                key += step
+        out.terms = {k: c for k, c in terms.items() if c}
         return out
 
     def mul_monomial(self, exps, coeff=1):

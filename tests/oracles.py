@@ -6,11 +6,12 @@ order (not just the covers), descent sets are recomputed with exact
 division, Eulerian polynomials, plain or color-weighted, come from walking
 every colored extension, level counts from a depth-first walk over the
 points, sign-ranked posets from filtering every labeled poset, classical
-Eulerian numbers from counting descents of uncolored permutations,
-truncated series arithmetic on exponent tuples, and the lattice sides of
-the identities from one enumerated point at a time.  The helpers only tests
-use live here too: corpus lookup by name, posets from arbitrary relations,
-and the strict order.
+Eulerian numbers from counting descents of uncolored permutations, and
+truncated series arithmetic on exponent tuples; the lattice sides of the
+identities come from one enumerated point at a time, and their extension
+sides from one colored extension at a time.  The helpers only tests use
+live here too: corpus lookup by name, posets from arbitrary relations, and
+the strict order.
 """
 
 from collections import Counter
@@ -100,7 +101,7 @@ def descent_sets_frac(pi, colors, s):
             d1.add(i)
         if ratio(a, 1) > ratio(b, 1) or (ratio(a, 1) == ratio(b, 1) and a > b):
             d3.add(i)
-    d2 = d1 | ({0} if colors[pi[0] - 1] == 0 else set())
+    d2 = d1 | ({0} if p and colors[pi[0] - 1] == 0 else set())
     last = {p} if p and colors[pi[-1] - 1] > 0 else set()
     return d1, d2, d3, d2 | last, d1 | last
 
@@ -363,6 +364,41 @@ def level_graded_sums_by_points(ctx, P, s, capt, names, digits):
         if key is not None:
             counts[key, m] += c
     return _level_graded(ctx, capt, counts)
+
+
+def staircase_side_by_extensions(ctx, P, s, rule, letter, color):
+    """The staircase form of the identities' extension sides, one colored
+    extension at a time.
+
+    rule maps the Fraction-recomputed sets (d1, d2, d3, d4, d) of an
+    extension to (D, e), and its numerator t^e prod color(x, r(x)) prod_{i in
+    D} w_i is summed per pi, then multiplied by the geometric series
+    1/(1 - w_i) of that pi.
+    Returns the series and the number of extensions summed.
+    """
+    graded = "t" in ctx.index
+    total, extensions = ctx.zero(), 0
+    for pi in linear_extensions(P):
+        # steps[i] = w_i: z_{i+1} t, or z_{i+1} when not graded
+        steps = [Counter({"t": 1} if graded else {})]
+        for x in reversed(pi):
+            steps.append(steps[-1] + Counter(letter(x)))
+        steps.reverse()
+        denom = ctx.one()
+        for w in steps if graded else steps[:-1]:
+            denom = denom * ctx.geometric(w)
+        num = ctx.zero()
+        for colors in product(*[range(v) for v in s]):
+            extensions += 1
+            dset, extra = rule(descent_sets_frac(pi, colors, s))
+            term = ctx.monomial({"t": extra} if extra else {})
+            for x, r in zip(P.elements, colors):
+                term = term * ctx.monomial(color(x, r))
+            for i in dset:
+                term = term * ctx.monomial(steps[i])
+            num = num + term
+        total = total + num * denom
+    return total, extensions
 
 
 @st.composite

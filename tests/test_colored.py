@@ -21,7 +21,7 @@ ORACLE_BUDGET = 6_000
 
 def test_colored_permutation_validation():
     tau = ColoredPermutation((2, 1), (0, 1))
-    assert tau.color(1) == 0 and tau.color(2) == 1
+    assert tau.colors[1 - 1] == 0 and tau.colors[2 - 1] == 1
     with pytest.raises(InvalidInputError):
         ColoredPermutation((1, 1), (0, 0))
     with pytest.raises(InvalidInputError):
@@ -53,6 +53,16 @@ def test_descent_profile_boundary_positions():
     assert prof.d4 == {0, 2}
     stats = statistics(ColoredPermutation((1, 2), (0, 1)), s)
     assert stats == {"des": 1, "comaj": 0, "lhp": 1 + 0, "fmaj": 1}
+
+
+def test_descent_profile_refuses_colors_out_of_range():
+    # a color outside 0..s(x)-1 has no rank among the pairs of s
+    for pi in ((1, 2), (2, 1)):
+        tau = ColoredPermutation(pi, (0, 2))
+        with pytest.raises(InvalidInputError, match="element 2"):
+            descent_profile(tau, (2, 2))
+        with pytest.raises(InvalidInputError, match="element 2"):
+            statistics(tau, (2, 2))
 
 
 @settings(max_examples=250)

@@ -1,7 +1,8 @@
 """The identity layer's CLI output, against a golden file.
 
-golden_verify_all.txt holds, for every CORPUS pair at caps x=3,t=5 and
-x=2,t=3, a header line "name caps exit=code" and the verify-all JSON line
+golden_verify_all.txt holds, for every CORPUS pair at caps x=3,t=5,
+x=2,t=3 and x=0,t=0 (where every x letter of an extension side is over
+its cap), a header line "name caps exit=code" and the verify-all JSON line
 the CLI printed; then, for KN1 and KN on the antichains with k <= 3 colors
 and p <= 3 elements at --tcap 0 and 4, a header line
 "identity k= p= tcap= exit=code" and the verify JSON line; then, for every
@@ -25,7 +26,7 @@ from lhall import cli, poset_to_document
 from lhall.corpus import CORPUS
 
 GOLDEN = Path(__file__).with_name("golden_verify_all.txt")
-CAPS = ("x=3,t=5", "x=2,t=3")
+CAPS = ("x=3,t=5", "x=2,t=3", "x=0,t=0")
 
 
 def _commands():

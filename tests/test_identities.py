@@ -10,14 +10,15 @@ from lhall import (InvalidInputError, Polynomial, ResourceLimitError,
                    SeriesContext,
                    count_linear_extensions, eulerian_polynomial,
                    first_mismatch, kn_descent_polynomial, make_antichain,
-                   make_chain, partitions_lt, qr_decompose, verify_all,
-                   verify_identity, verify_kn, verify_kn1)
+                   make_chain, partitions_lt, verify_all, verify_identity,
+                   verify_kn, verify_kn1)
 from lhall import identities
 from lhall.identities import IDENTITY_NAMES, SUITE
 from oracles import (box_points, classical_eulerian, corpus_get,
                      kn_by_extensions, level_graded_sums_by_points,
                      lhs_xy_by_points, lhs_xy_t_by_points, posets,
-                     series_first_mismatch, smaps, smaps_within)
+                     series_first_mismatch, smaps, smaps_within,
+                     staircase_side_by_extensions)
 
 SAMPLE = ("chain2-nat-s12", "chain2-rev-s21", "antichain2-s22", "vee-s112",
           "n-poset-s1212", "unrankable-s212")
@@ -44,9 +45,8 @@ def test_cone_series_matches_hand_closed_form():
     ctx = SeriesContext({"x1": 3, "x2": 3, "y1": 0, "y2": 1})
     lhs = ctx.zero()
     for f in partitions_lt(P, s, 4):  # the digits q(f) within 3
-        q, r = qr_decompose(f, s)
-        lhs = lhs + ctx.monomial({"x1": q[0], "x2": q[1],
-                                  "y1": r[0], "y2": r[1]})
+        (q1, r1), (q2, r2) = divmod(f[0], s[0]), divmod(f[1], s[1])
+        lhs = lhs + ctx.monomial({"x1": q1, "x2": q2, "y1": r1, "y2": r2})
     rhs = ((ctx.one() + ctx.monomial({"y2": 1}))
            * ctx.geometric({"x1": 1, "x2": 1})
            * ctx.geometric({"x2": 1}))
@@ -60,8 +60,8 @@ def test_positive_cone_series_matches_hand_closed_form():
     ctx = SeriesContext({"x1": 3, "y1": 2})
     lhs = ctx.zero()
     for f in range(1, 9):
-        q, r = qr_decompose((f,), s, primed=True)
-        lhs = lhs + ctx.monomial({"x1": q[0], "y1": r[0]})
+        q, r = divmod(f - 1, s[0])
+        lhs = lhs + ctx.monomial({"x1": q, "y1": r + 1})
     rhs = ((ctx.monomial({"y1": 1}) + ctx.monomial({"y1": 2}))
            * ctx.geometric({"x1": 1}))
     assert first_mismatch(lhs, rhs) is None
@@ -126,6 +126,18 @@ def test_point_cap_refuses_a_lattice_side_before_the_walk():
         if name not in ("COR6", "EUL2", "QV"):
             with pytest.raises(ResourceLimitError, match="LHALL_MAX_POINTS"):
                 verify_identity(name, P, s, max_points=1)
+
+
+def test_colored_cap_refuses_an_extension_side_before_the_walk():
+    # e(P) * prod(s) = 2 * 2 * 3 = 12 colored extensions on the antichain
+    P, s = make_antichain(2), (2, 3)
+    for name in SUITE:
+        if name != "EUL2":
+            with pytest.raises(ResourceLimitError,
+                               match=r"^12 colored extensions exceed the cap "
+                                     r"11; raise LHALL_MAX_COLORED$"):
+                verify_identity(name, P, s, max_count=11)
+            assert not verify_identity(name, P, s, max_count=12).failed
 
 
 def test_dp_cap_reaches_eul2_and_recipr(monkeypatch):
@@ -331,3 +343,60 @@ def test_lattice_sides_match_point_enumeration(case):
             None, None)
         assert walked.terms == level_graded_sums_by_points(
             ctx, P, s, capt, names, digits).terms, (caps, names)
+
+
+def _extension_sides(P, s, capx, capt):
+    """(name, ctx, row, rule, letter, color) for every extension side: the
+    descent row of _staircase_side, and the rule that maps the sets (d1,
+    d2, d3, d4, d) to (D, e) in the oracle.  The caps of the sides without
+    x variables follow capx too, so their letters and colors leave the
+    window as well."""
+    x_letter = identities._x_letter
+    rules = {"F": lambda d: (d[0], 0), "F_PLUS": lambda d: (d[1], 0),
+             "G": lambda d: (d[2], 0), "R1": lambda d: (d[4], 0),
+             "R2": lambda d: (d[0], 1), "R3": lambda d: (d[3], 0),
+             "R4": lambda d: (d[2], 1)}
+    for name, (row, shift) in identities._XY_ROWS.items():
+        ctx = identities._ctx_xy(P, s, capx, capt if name[0] == "R" else None)
+        yield (name, ctx, row, rules[name], x_letter,
+               lambda x, r, shift=shift: {f"y{x}": r + shift})
+    ascents = frozenset(range(1, P.p))
+    yield ("RECI", identities._ctx_xy(P, s, capx), identities._RISES,
+           lambda d: (ascents - d[0], 0), x_letter,
+           lambda x, r: {f"y{x}": s[x - 1] - r})
+    q_ctx = SeriesContext({"t": capt, "u": 2 * capx, "q": 2 * capx})
+    for name, letter in (("UQ", lambda x: {"u": 1}),
+                         ("LHP", lambda x: {"q": s[x - 1]}),
+                         ("KN1", lambda x: {"q": 2})):
+        yield (name, q_ctx, identities._D, lambda d: (d[4], 0), letter,
+               identities._q_color)
+    kn_ctx = SeriesContext({**{f"q{x}": capx for x in P.elements},
+                            "t": capt})
+    yield ("KN", kn_ctx, identities._D, lambda d: (d[4], 0), lambda x: {},
+           lambda x, r: {f"q{x}": r})
+
+
+@st.composite
+def _staircase_cases(draw):
+    """(P, s, capx, capt) with p <= 4, s <= 3 and at most about 1,000
+    colored extensions, so that the per-extension oracle stays cheap."""
+    P = draw(posets(max_p=4))
+    s = draw(smaps_within(P, 1000 // count_linear_extensions(P), max_s=3))
+    return P, s, draw(st.integers(0, 3)), draw(st.integers(0, 5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_staircase_cases())
+def test_staircase_sides_match_extension_oracle(case):
+    # rank falls and in-place division against Fraction descent sets and
+    # geometric products; at capx = 0 every x letter is over its cap, so
+    # None keys must pass through the staircase
+    P, s, capx, capt = case
+    for name, ctx, row, rule, letter, color in _extension_sides(P, s, capx,
+                                                                capt):
+        got, ext = identities._staircase_side(ctx, P, s, None, row, letter,
+                                              color)
+        want, want_ext = staircase_side_by_extensions(ctx, P, s, rule, letter,
+                                                      color)
+        assert got.terms == want.terms, name
+        assert ext == want_ext == count_linear_extensions(P) * prod(s)

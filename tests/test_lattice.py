@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lhall import (InvalidInputError, LabeledPoset, Polynomial,
-                   ResourceLimitError, bij_eta, bij_u, colored_extensions,
-                   descent_profile, ehrhart_counts, enumerate_points,
-                   eulerian_polynomial, eulerian_via_ehrhart,
+                   ResourceLimitError, SeriesContext, bij_eta, bij_u,
+                   colored_extensions, descent_profile, ehrhart_counts,
+                   enumerate_points, eulerian_polynomial, eulerian_via_ehrhart,
                    is_partition_point, lattice, make_antichain, make_chain,
-                   partitions_leq, partitions_lt, qr_decompose, scan_gamma,
-                   sign_rank, sign_ranked_posets, verify_bijection,
+                   partitions_leq, partitions_lt, scan_gamma, sign_rank,
+                   sign_ranked_posets, verify_bijection,
                    verify_cone_decomposition, verify_ordinal_interlacing,
                    verify_recipr)
 from lhall.corpus import CORPUS
+from lhall.identities import _digit_keys
 from oracles import (all_labeled_posets, box_points, corpus_get,
                      ehrhart_by_walk, is_point_frac, posets, region_points,
                      sign_ranked_corpus, smaps, smaps_within)
@@ -83,30 +84,29 @@ def test_is_partition_point_matches_oracle(data):
     assert is_partition_point(P, s, f) == is_point_frac(P, s, f)
 
 
-def test_qr_decompose():
-    q, r = qr_decompose((5, 0, 7), (2, 3, 4))
-    assert q == (2, 0, 1) and r == (1, 0, 3)
-    q, r = qr_decompose((5, 1, 8), (2, 3, 4), primed=True)
-    assert q == (2, 0, 1) and r == (1, 1, 4)
-    with pytest.raises(InvalidInputError):
-        qr_decompose((-1,), (2,))
-    with pytest.raises(InvalidInputError):
-        qr_decompose((0,), (2,), primed=True)
-
-
 @settings(max_examples=120)
 @given(st.data())
 def test_qr_roundtrip(data):
+    # the digit keys of the identities' lattice sides decode to x^q y^r
+    # with f = q s + r, r in 0..s-1, or in 1..s when primed (f >= 1)
     p = data.draw(st.integers(1, 5))
     s = tuple(data.draw(st.integers(1, 4)) for _ in range(p))
-    f = tuple(data.draw(st.integers(1, 9)) for _ in range(p))
+    hi = [9] * p
+    ctx = SeriesContext({**{f"x{j}": 9 for j in range(1, p + 1)},
+                         **{f"y{j}": v for j, v in enumerate(s, 1)}})
     for primed in (False, True):
-        q, r = qr_decompose(f, s, primed=primed)
-        assert all(qv * sv + rv == fv for qv, sv, rv, fv in zip(q, s, r, f))
-        if primed:
-            assert all(1 <= rv <= sv for rv, sv in zip(r, s))
-        else:
-            assert all(0 <= rv < sv for rv, sv in zip(r, s))
+        tables = _digit_keys(ctx, s, hi, primed, range(1, p + 1))
+        for j, sv in enumerate(s):
+            for f in range(10):
+                key = tables[j][f]
+                if primed and f < 1:
+                    assert key is None
+                    continue
+                exps = ctx._exponents(key)
+                q, r = exps.get(f"x{j + 1}", 0), exps.get(f"y{j + 1}", 0)
+                assert q * sv + r == f and set(exps) <= {f"x{j + 1}",
+                                                         f"y{j + 1}"}
+                assert 1 <= r <= sv if primed else 0 <= r < sv
 
 
 def test_ehrhart_counts_frozen():

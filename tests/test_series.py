@@ -166,6 +166,33 @@ def test_packed_geometric_and_shift_match_tuple_oracle(data):
 
 @settings(max_examples=200)
 @given(st.data())
+def test_division_by_one_minus_a_monomial_matches_tuple_oracle(data):
+    # S / (1 - m) is S times the geometric series of m; coefficients of both
+    # signs may cancel, and a step over its cap leaves S as it is
+    ctx = data.draw(contexts())
+    a, ta = _build(ctx, data.draw(tuple_series(ctx)))
+    step = data.draw(exponent_tuples(ctx).filter(any))
+    exps = dict(zip(ctx.names, step))
+    got = a._over_one_minus(ctx.key_of(exps))
+    assert _tuples(got) == series_mul(ta, series_geometric(step, ctx.caps),
+                                      ctx.caps)
+    # dividing S (1 - m) cancels every term past S
+    assert (a - a.mul_monomial(exps))._over_one_minus(ctx.key_of(exps)) == a
+
+
+def test_division_by_one_minus_a_monomial_edges():
+    ctx = ctx_xy(capx=2)
+    s = ctx.one() - ctx.monomial({"x": 1}) + ctx.monomial({"y": 1}, 3)
+    assert s._over_one_minus(ctx.key_of({"x": 1})) == (
+        ctx.one() + ctx.monomial({"y": 1}, 3) + ctx.monomial({"x": 1, "y": 1}, 3)
+        + ctx.monomial({"x": 2, "y": 1}, 3))
+    assert s._over_one_minus(None) == s
+    with pytest.raises(InvalidInputError):
+        s._over_one_minus(0)
+
+
+@settings(max_examples=200)
+@given(st.data())
 def test_packed_first_mismatch_matches_tuple_oracle(data):
     ctx = data.draw(contexts())
     a, ta = _build(ctx, data.draw(tuple_series(ctx)))
