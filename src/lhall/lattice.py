@@ -12,8 +12,7 @@ from __future__ import annotations
 from itertools import zip_longest
 from math import prod
 
-from .colored import (_pairs_by_ratio, eulerian_polynomial, refined_eulerian,
-                      x_order)
+from .colored import _pairs_by_ratio, eulerian_polynomial, refined_eulerian
 from .errors import InvalidInputError, ResourceLimitError
 from .polys import (Polynomial, compose_linear, gamma_vector, hstar_from_counts,
                     interpolate, is_palindromic)
@@ -411,9 +410,10 @@ def verify_ordinal_interlacing(sizes, block_s, max_steps=None):
 
     sizes lists the antichain block sizes bottom to top, block_s one color
     count per block (s is constant on blocks).  The family split by the first
-    letter, read in X order, must be interlacing; its sum is the Eulerian
-    polynomial and must be real-rooted.  There must be at least one block:
-    the empty poset has an empty family but the Eulerian polynomial 1.
+    letter, read in X order (the key order of refined_eulerian's dict), must
+    be interlacing; its sum is the Eulerian polynomial and must be
+    real-rooted.  There must be at least one block: the empty poset has an
+    empty family but the Eulerian polynomial 1.
     """
     sizes = tuple(sizes)
     block_s = tuple(block_s)
@@ -429,8 +429,8 @@ def verify_ordinal_interlacing(sizes, block_s, max_steps=None):
         s.extend([k] * size)
     s = tuple(s)
     refined = refined_eulerian(P, s, max_steps)
-    order = x_order(P, s)
-    family = [refined[g] for g in order]
+    order = list(refined)
+    family = list(refined.values())
     caps = {"blocks": list(sizes), "s": list(block_s)}
     try:
         failure = interlacing_failure(family)

@@ -271,9 +271,29 @@ def interleaves(f, g):
 def interlacing_failure(polys):
     """First pair (i, j) with i < j where polys[i] fails to interleave polys[j].
 
-    Returns None when the whole sequence is interlacing.
+    Returns None when the whole sequence is interlacing.  Writing f << g for
+    "f interleaves g": zero members interleave everything, so a family whose
+    nonzero members f_1, ..., f_m pass f_k << f_(k+1) for each k and
+    f_1 << f_m is interlacing, and is certified with at most m tests.
+    With a_l(k) the l-th largest root of f_k, counted with multiplicity:
+
+    - f_k << f_(k+1) gives a_l(k) <= a_l(k+1), the degree rising by 0 or 1;
+    - f_1 << f_m gives a_(l+1)(m) <= a_l(1), and deg f_m <= deg f_1 + 1;
+    - so for i < j, a_(l+1)(j) <= a_(l+1)(m) <= a_l(1) <= a_l(i) <= a_l(j)
+      and deg f_j - deg f_i is 0 or 1, which is f_i << f_j.
+
+    Only when a test of that chain fails or raises are all pairs scanned,
+    (i, j) before (i', j') when j < j', or j = j' and i < i', so the pair
+    returned, or the error raised, is the first one in that order.
     """
     keys = [_canonical(f) for f in polys]
+    chain = [c for c in keys if c]
+    try:
+        if (all(map(_interleaves, chain, chain[1:]))
+                and (len(chain) < 3 or _interleaves(chain[0], chain[-1]))):
+            return None
+    except InvalidInputError:
+        pass
     for j in range(len(keys)):
         for i in range(j):
             if not _interleaves(keys[i], keys[j]):

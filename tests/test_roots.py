@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from lhall import (InvalidInputError, Polynomial, interlacing_failure,
                    interleaves, is_real_rooted, isolate_real_roots,
-                   real_root_count)
+                   real_root_count, roots, verify_ordinal_interlacing)
 from oracles import classical_eulerian
 
 _t = sympy.Symbol("t")
@@ -114,17 +114,23 @@ def test_interlacing_sequence():
 
 # --- interleaving against sympy's exact roots ------------------------------
 
-def _oracle_interleaves(f, g):
-    """The definition itself, on sympy's real roots with multiplicity."""
-    if f.is_zero() or g.is_zero():
-        return True
-    alpha = sorted(_sympy_real_roots(f.coeffs), reverse=True)
-    beta = sorted(_sympy_real_roots(g.coeffs), reverse=True)
+def _descending_roots(f):
+    return sorted(_sympy_real_roots(f.coeffs), reverse=True)
+
+
+def _roots_interleave(alpha, beta):
+    """The definition itself, on descending real roots with multiplicity."""
     n, m = len(alpha), len(beta)
     if not m - 1 <= n <= m:
         return False
     return (all(alpha[i] <= beta[i] for i in range(n))
             and all(beta[i + 1] <= alpha[i] for i in range(min(n, m - 1))))
+
+
+def _oracle_interleaves(f, g):
+    if f.is_zero() or g.is_zero():
+        return True
+    return _roots_interleave(_descending_roots(f), _descending_roots(g))
 
 
 def _from_factors(factors):
@@ -175,11 +181,11 @@ def test_interleaves_matches_the_root_definition(pair):
 
 @st.composite
 def _families(draw):
-    """2..5 members of degree d or d + 1 from a shared pool of factors,
+    """2..8 members of degree d or d + 1 from a shared pool of factors,
     sorted by degree in half the draws; one in five has a zero member."""
     d = draw(st.integers(0, 3))
     degrees = draw(st.lists(st.sampled_from((d, d + 1)), min_size=2,
-                            max_size=5))
+                            max_size=8))
     if draw(st.booleans()):
         degrees.sort()
     family = [_from_factors(fs) for fs in draw(_factor_lists(degrees))]
@@ -188,9 +194,116 @@ def _families(draw):
     return family
 
 
-@settings(max_examples=200, deadline=None)
-@given(_families())
+@st.composite
+def _drifting_families(draw):
+    """2..8 members, each with the roots of the one before moved right by
+    0, 1/4, 1/2 or 1: neighbours interleave while the shift stays within
+    the gaps between roots, and members far apart stop interleaving once
+    the shifts add up past a gap."""
+    (roots,) = draw(_factor_lists((draw(st.integers(1, 4)),)))
+    roots = [Fraction(-a, b) for a, b in roots]
+    family = []
+    for _ in range(draw(st.integers(2, 8))):
+        family.append(_from_factors((-r.numerator, r.denominator)
+                                    for r in roots))
+        shift = draw(st.sampled_from((0, Fraction(1, 4), Fraction(1, 2), 1)))
+        roots = [r + shift for r in roots]
+    return family
+
+
+def _oracle_failure(family):
+    """interlacing_failure by the definition: the pairs in order (0, 1),
+    (0, 2), (1, 2), (0, 3), ..., each zero member passing, else each member
+    needing a positive leading coefficient and then real roots, checked on
+    sympy's roots; returns the first failing pair, None, or the message of
+    the first error."""
+    members = [Polynomial(tuple(f)) if not isinstance(f, Polynomial) else f
+               for f in family]
+    roots = [None if f.is_zero() else _descending_roots(f) for f in members]
+    for j in range(len(members)):
+        for i in range(j):
+            if roots[i] is None or roots[j] is None:
+                continue
+            for k in (i, j):
+                if members[k].coeffs[-1] < 0:
+                    return "interleaving needs positive leading coefficients"
+                if len(roots[k]) != members[k].degree:
+                    return "interleaving needs real-rooted polynomials"
+            if not _roots_interleave(roots[i], roots[j]):
+                return (i, j)
+    return None
+
+
+def _failure_or_message(family):
+    try:
+        return interlacing_failure(family)
+    except InvalidInputError as e:
+        return str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_families(), _drifting_families()))
 def test_interlacing_failure_matches_the_root_definition(family):
-    expected = next(((i, j) for j in range(len(family)) for i in range(j)
-                     if not _oracle_interleaves(family[i], family[j])), None)
-    assert interlacing_failure(family) == expected
+    assert interlacing_failure(family) == _oracle_failure(family)
+
+
+_spoilers = st.sampled_from((
+    Polynomial((1, 0, 1)),                     # t^2 + 1, no real root
+    Polynomial((2, 2, 1, 1)),                  # (t + 1)(t^2 + 2)
+    Polynomial((-1, -1)),                      # negative leading coefficient
+    Polynomial((1, -3, -2)),                   # real roots, negative leading
+    Polynomial(()),
+    (0,),                                      # raw zero tuples
+    (0, 0),
+    (2, 1),                                    # raw coefficients of t + 2
+))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_families(), _drifting_families()), st.data())
+def test_spoiled_families_fail_like_the_pair_scan(family, data):
+    # a member that cannot be tested, placed before or after the first
+    # failing pair, decides whether the pair comes back or the error is
+    # raised; raw tuples are canonicalized like polynomials
+    for _ in range(data.draw(st.integers(1, 2))):
+        family.insert(data.draw(st.integers(0, len(family))),
+                      data.draw(_spoilers))
+    assert _failure_or_message(family) == _oracle_failure(family)
+
+
+def test_interlacing_chain_checks_the_ends():
+    # neighbours interleave, (t+5)(t+4) and (2t+7)(t+2) do not
+    f1 = Polynomial((20, 9, 1))
+    f2 = Polynomial((27, 15, 2))
+    f3 = Polynomial((14, 11, 2))
+    assert interleaves(f1, f2) and interleaves(f2, f3)
+    assert interlacing_failure([f1, f2, f3]) == (0, 2)
+    assert interlacing_failure([f1, Polynomial(()), f2, f3]) == (0, 3)
+    assert interlacing_failure([f1, (0,), f2.coeffs, f3]) == (0, 3)
+    assert interlacing_failure([(0,), f1]) is None
+    assert interlacing_failure([Polynomial((1, 0, 1)), (0,)]) is None
+
+
+def test_interlacing_family_costs_one_test_per_nonzero_member(monkeypatch):
+    calls = []
+    original = roots._interleaves
+
+    def counted(f, g):
+        calls.append((f, g))
+        return original(f, g)
+
+    monkeypatch.setattr(roots, "_interleaves", counted)
+    zero = Polynomial(())
+    families = [
+        verify_ordinal_interlacing((1, 2, 1), (2, 1, 3)).details["family"],
+        verify_ordinal_interlacing((3, 2), (2, 3)).details["family"],
+        [zero, Polynomial((1,)), zero, Polynomial((0, 1)), zero],
+        [zero, Polynomial((3, 1)), zero],
+        [zero, zero],
+    ]
+    for family in families:
+        calls.clear()
+        assert interlacing_failure(family) is None
+        nonzero = sum(not f.is_zero() for f in family)
+        assert len(calls) <= nonzero
+        assert all(f and g for f, g in calls)
