@@ -17,8 +17,15 @@ positions j..p of pi, with z_{p+1} = 1.  The side is
 where the identity fixes the letter, the color weight and the rule for
 the descent set D and the extra power e.  D is read as the down-set DP of
 colored reads it: rank the pairs (r(x) + shift, x) by _pairs_by_ratio, and
-a step of pi descends exactly when the rank falls.  An ungraded side drops
-t and the factor 1 - t.
+a step of pi descends exactly when the rank falls.
+
+A graded identity, one whose context has a variable t, is compared after
+multiplying both sides by 1 - t, a unit of the truncated ring, so the sides
+agree in the window exactly when these forms do.  The lattice side then
+holds each point once, at t to its entry level, the least n whose level-n
+region admits it; the staircase denominator keeps 1 - w_i for i < p only,
+w_p = t.  An ungraded side drops t, so w_p = 1 and the same denominator
+serves.  _series_report rebuilds the report of the sides themselves.
 """
 
 from __future__ import annotations
@@ -61,11 +68,40 @@ def _add_capped(series, exps, coeff=1):
         series._add_term(key, coeff)
 
 
+def _graded_size(series):
+    """The number of nonzero coefficients of series / (1 - t).
+
+    Those are the prefix sums over t at fixed other exponents.  When every
+    coefficient is positive, the line of a t-free monomial is nonzero from
+    its least t exponent e on, capt + 1 - e terms; otherwise it is expanded.
+    Keys of one line differ in the t field alone, so walking them in
+    descending order leaves the least e of each line last.
+    """
+    ctx = series.ctx
+    i = ctx.index["t"]
+    capt, shift = ctx.caps[i], ctx._shifts[i]
+    if min(series.terms.values(), default=1) < 1:
+        return len(series._over_one_minus(ctx.key_of({"t": 1})).terms)
+    field = ((2 << capt.bit_length()) - 1) << shift
+    first = {key & ~field: key & field
+             for key in sorted(series.terms, reverse=True)}
+    return len(first) * (capt + 1) - (sum(first.values()) >> shift)
+
+
 def _series_report(name, caps, lhs, rhs, details=None):
+    """The report on lhs = rhs, given both sides times 1 - t when graded.
+
+    compared counts the nonzero coefficients of the sides themselves, and a
+    failure expands both forms back into the sides to find its witness.
+    """
+    graded = "t" in lhs.ctx.index
     if lhs.terms == rhs.terms:
-        return VerificationReport(name, "pass", caps=caps,
-                                  compared=len(lhs.terms),
-                                  details=details or {})
+        return VerificationReport(
+            name, "pass", caps=caps, details=details or {},
+            compared=_graded_size(lhs) if graded else len(lhs.terms))
+    if graded:
+        step = lhs.ctx.key_of({"t": 1})
+        lhs, rhs = lhs._over_one_minus(step), rhs._over_one_minus(step)
     compared = len(lhs.terms.keys() | rhs.terms.keys())
     exps, ca, cb = first_mismatch(lhs, rhs)
     return VerificationReport(
@@ -109,23 +145,19 @@ def _entry_levels(s, hi, strict):
 
 
 def _level_graded(ctx, capt, sums, width):
-    """Sum over key << width | m -> c of c * key * (t^m + ... + t^capt).
+    """Sum over key << width | m -> c of c * key * t^m.
 
     A point enters the level-n region for all n at or beyond its entry
-    level m, so one walk of the level-capt region settles every t power:
-    points beyond that region only enter after capt and are invisible here.
-    The keys carry no t, so adding a power of t to one cannot carry.
+    level m, so the graded side holds it at t^m + ... + t^capt, and times
+    1 - t at t^m alone.  One walk of the level-capt region settles every
+    point: those beyond it only enter after capt and are invisible here.
+    The keys carry no t, so adding a power of t to one cannot carry, and
+    distinct entries stay distinct.
     """
     powers = [ctx.key_of({"t": n}) for n in range(capt + 1)]
     mask = (1 << width) - 1
-    total = ctx.zero()
-    terms = total.terms
-    for packed, c in sums.items():
-        key = packed >> width
-        for power in powers[packed & mask:]:
-            k = key + power
-            terms[k] = terms.get(k, 0) + c
-    return total
+    return Series(ctx, {(packed >> width) + powers[packed & mask]: c
+                        for packed, c in sums.items()})
 
 
 def _lhs_xy(ctx, P, s, capx, positive, primed, max_points, max_steps,
@@ -178,12 +210,13 @@ def _bracket_terms(var, n):
 
 
 def _lhs_independent_products(ctx, P, factor_terms, capt):
-    """Sum over n of t^n times a product of per-element factors.
+    """Sum over n of t^n times a product of per-element factors, times 1 - t.
 
     factor_terms(x, n) lists the monomials of element x's factor at level n;
     used by the antichain identities, where coordinates are independent.
+    Times 1 - t, t^n carries the growth of the product from level n - 1.
     """
-    total = ctx.zero()
+    total, below = ctx.zero(), ctx.zero()
     for n in range(capt + 1):
         level = ctx.one()
         for x in P.elements:
@@ -191,8 +224,9 @@ def _lhs_independent_products(ctx, P, factor_terms, capt):
             for exps in factor_terms(x, n):
                 _add_capped(factor, exps)
             level = level * factor
-        for key, c in level.mul_monomial({"t": n}).terms.items():
+        for key, c in (level - below).mul_monomial({"t": n}).terms.items():
             total._add_term(key, c)
+        below = level
     return total
 
 
@@ -211,11 +245,11 @@ def _staircase_side(ctx, P, s, max_count, row, letter, color):
     p is in D when the last color is positive; and e = extra.  The side is
     graded exactly when ctx has a variable t.  With w_i = z_{i+1} t
     (graded) or z_{i+1} (not graded), a descent at i contributes w_i, and
-    the denominator is the product of 1 - w_i over i = 0..p (i < p when not
-    graded, since w_p = 1 there).  Extensions whose pi gives the same
-    staircase (w_0, ..., w_p) share one numerator, which is divided by each
-    1 - w_i in turn.  Returns the series and the number of extensions
-    summed.
+    the denominator is the product of 1 - w_i over i < p: w_p is 1 when not
+    graded, and t when graded, where the side is returned times 1 - t.
+    Extensions whose pi gives the same staircase (w_0, ..., w_p) share one
+    numerator, which is divided by each 1 - w_i in turn.  Returns the
+    series and the number of extensions summed.
     """
     shift, start, end, extra, reverse = row
     colorings = prod(s)
@@ -259,7 +293,7 @@ def _staircase_side(ctx, P, s, max_count, row, letter, color):
     total = ctx.zero()
     for stair, num in sides.items():
         side = Series(ctx, num)
-        for w in stair if graded else stair[:-1]:
+        for w in stair[:-1]:
             side = side._over_one_minus(w)
         for key, c in side.terms.items():
             total._add_term(key, c)

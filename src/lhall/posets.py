@@ -416,7 +416,9 @@ def _sign_ranked_levels(pmax):
     maximal element and every rho(a) + epsilon(a, z) over A agrees on a
     value >= 0, which is rho(z); rho(z) = 0 when A is empty.  A state
     holds the strictly-above masks, the cover pairs and rho, so no level
-    needs sign_rank; only the last level is never stored.
+    needs sign_rank; only the last level is never stored.  The states are
+    valid by construction, so each poset is built from its state without
+    the checks of LabeledPoset.
     """
     level = [((), (), ())]
     for n in range(pmax):
@@ -425,8 +427,19 @@ def _sign_ranked_levels(pmax):
             for child in _augmentations(n, up, covers, rho):
                 if n + 1 < pmax:
                     nxt.append(child)
-                yield LabeledPoset(n + 1, frozenset(child[1])), child[2]
+                yield _trusted_poset(n + 1, child[0], child[1]), child[2]
         level = nxt
+
+
+def _trusted_poset(p, up, covers):
+    """The LabeledPoset with these cover pairs and strictly-above masks
+    (up[x - 1] for element x), which must be valid: nothing is checked."""
+    P = object.__new__(LabeledPoset)
+    object.__setattr__(P, "p", p)
+    object.__setattr__(P, "covers", frozenset(covers))
+    object.__setattr__(P, "_topo", tuple(_toposort(p, covers)))
+    object.__setattr__(P, "_above", (0, *up))
+    return P
 
 
 def _augmentations(n, up, covers, rho):

@@ -9,9 +9,10 @@ points, sign-ranked posets from filtering every labeled poset, classical
 Eulerian numbers from counting descents of uncolored permutations, and
 truncated series arithmetic on exponent tuples; the lattice sides of the
 identities come from one enumerated point at a time, and their extension
-sides from one colored extension at a time.  The helpers only tests use
-live here too: corpus lookup by name, posets from arbitrary relations, and
-the strict order.
+sides from one colored extension at a time, both in full rather than times
+1 - t, and their reports from comparing those sides.  The helpers only
+tests use live here too: corpus lookup by name, posets from arbitrary
+relations, and the strict order.
 """
 
 from collections import Counter
@@ -22,8 +23,8 @@ from operator import getitem
 from hypothesis import strategies as st
 
 from lhall import (CORPUS, InvalidInputError, LabeledPoset, Series,
-                   enumerate_points, linear_extensions, make_antichain,
-                   sign_rank)
+                   VerificationReport, enumerate_points, first_mismatch,
+                   linear_extensions, make_antichain, sign_rank)
 from lhall.identities import _digit_keys, _entry_levels, _tables
 from lhall.posets import _bits
 
@@ -399,6 +400,28 @@ def staircase_side_by_extensions(ctx, P, s, rule, letter, color):
             num = num + term
         total = total + num * denom
     return total, extensions
+
+
+def times_one_minus_t(series):
+    """series times 1 - t, the form in which graded sides are compared."""
+    ctx = series.ctx
+    return series * (ctx.one() - ctx.monomial({"t": 1}))
+
+
+def series_report_by_sides(name, caps, lhs, rhs, details=None):
+    """The report on lhs = rhs, from the sides themselves: a pass counts
+    their terms, a failure the terms of either side, with its witness at
+    the first monomial where they differ."""
+    if lhs.terms == rhs.terms:
+        return VerificationReport(name, "pass", caps=caps,
+                                  compared=len(lhs.terms),
+                                  details=details or {})
+    compared = len(lhs.terms.keys() | rhs.terms.keys())
+    exps, ca, cb = first_mismatch(lhs, rhs)
+    return VerificationReport(
+        name, "fail", caps=caps, compared=compared, details=details or {},
+        witness={"monomial": exps, "lhs": ca, "rhs": cb},
+        reason="series sides disagree at the stated monomial")
 
 
 @st.composite

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lhall import (InvalidInputError, Polynomial, ResourceLimitError,
-                   SeriesContext,
+                   Series, SeriesContext,
                    count_linear_extensions, eulerian_polynomial,
                    first_mismatch, kn_descent_polynomial, make_antichain,
                    make_chain, partitions_lt, verify_all, verify_identity,
@@ -17,8 +17,9 @@ from lhall.identities import IDENTITY_NAMES, SUITE
 from oracles import (box_points, classical_eulerian, corpus_get,
                      kn_by_extensions, level_graded_sums_by_points,
                      lhs_xy_by_points, lhs_xy_t_by_points, posets,
-                     series_first_mismatch, smaps, smaps_within,
-                     staircase_side_by_extensions)
+                     series_first_mismatch, series_report_by_sides, smaps,
+                     smaps_within, staircase_side_by_extensions,
+                     times_one_minus_t)
 
 SAMPLE = ("chain2-nat-s12", "chain2-rev-s21", "antichain2-s22", "vee-s112",
           "n-poset-s1212", "unrankable-s212")
@@ -232,36 +233,51 @@ def test_kn_descent_polynomial_validates_weights():
 
 
 
-def _oracle_lhs(points, s, capx, capt):
-    """The F side (capt None) or the R1 side on exponent tuples
-    (x_1..x_p, y_1..y_p[, t]), from an explicit list of points."""
+def _oracle_lhs(name, P, points, s, capx, capt):
+    """The lattice side of F, R1, R2 or UQ on exponent tuples in the order
+    of its context's variables, (x_1..x_p, y_1..y_p[, t]) or (t, u, q),
+    from an explicit list of points; returns the names and the side."""
+    uq_caps = identities._uq_caps(P, s, capt)
+    if name == "UQ":
+        names = list(uq_caps)
+    else:
+        names = ([f"x{x}" for x in P.elements]
+                 + [f"y{x}" for x in P.elements] + ["t"] * (name != "F"))
     out = {}
     for f in points:
         q, r = zip(*(divmod(v, sv) for v, sv in zip(f, s))) if f else ((), ())
-        if max(q, default=0) > capx:
+        if name == "UQ":
+            digits = (sum(q), sum(r))
+            if digits[0] > uq_caps["u"] or digits[1] > uq_caps["q"]:
+                continue
+        elif max(q, default=0) > capx:
             continue
-        if capt is None:
+        if name == "F":
             levels = [()]
         else:
-            m = max((-(-v // sv) for v, sv in zip(f, s)), default=0)
+            entry = ((lambda v, sv: v // sv + 1) if name == "R2"
+                     else (lambda v, sv: -(-v // sv)))
+            m = max(map(entry, f, s), default=0)
             levels = [(n,) for n in range(m, capt + 1)]
         for t in levels:
-            key = q + r + t
+            key = t + digits if name == "UQ" else q + r + t
             out[key] = out.get(key, 0) + 1
-    return out
+    return names, out
 
 
-@pytest.mark.parametrize("name", ["F", "R1"])
+@pytest.mark.parametrize("name", ["F", "R1", "R2", "UQ"])
 def test_dropped_point_gives_the_smallest_witness(monkeypatch, name):
     # losing one lattice point must fail the check at the smallest monomial
-    # where the lattice side now differs, with both coefficients
+    # where the lattice side now differs, with both coefficients; t is the
+    # least significant variable of R1 and R2 and the most of UQ, and R2
+    # grades by the strict levels
     _, P, s = corpus_get("vee-s112")
     capx, capt = 3, 5
     assert verify_identity(name, P, s, capx, capt).passed
     if name == "F":
-        hi, cap_t = [(capx + 1) * v - 1 for v in s], None
+        hi = [(capx + 1) * v - 1 for v in s]
     else:
-        hi, cap_t = [capt * v for v in s], capt
+        hi = [capt * v - (name == "R2") for v in s]
     full = box_points(P, s, [0] * P.p, hi)
     dropped = full[3]  # the fourth point in lexicographic order
     original = identities._region_sum
@@ -285,10 +301,9 @@ def test_dropped_point_gives_the_smallest_witness(monkeypatch, name):
                                             * prod(s))
 
     kept = [f for f in full if f != dropped]
-    key, ca, cb = series_first_mismatch(_oracle_lhs(kept, s, capx, cap_t),
-                                        _oracle_lhs(full, s, capx, cap_t))
-    names = ([f"x{x}" for x in P.elements] + [f"y{x}" for x in P.elements]
-             + (["t"] if cap_t is not None else []))
+    names, want = _oracle_lhs(name, P, full, s, capx, capt)
+    key, ca, cb = series_first_mismatch(
+        _oracle_lhs(name, P, kept, s, capx, capt)[1], want)
     monomial = {n: e for n, e in zip(names, key) if e}
     assert report.witness == {"monomial": monomial, "lhs": ca, "rhs": cb}
 
@@ -308,7 +323,8 @@ def _side_cases(draw):
 @given(_side_cases())
 def test_lattice_sides_match_point_enumeration(case):
     # the frontier walk against one enumerated point at a time, on all nine
-    # lattice sides; the tight UQ and LHP caps make digit totals overflow
+    # lattice sides, the graded ones times 1 - t; the tight UQ and LHP caps
+    # make digit totals overflow
     P, s, capx, capt = case
     ctx = identities._ctx_xy(P, s, capx)
     for positive, primed in ((False, False), (True, False), (True, True)):
@@ -327,8 +343,8 @@ def test_lattice_sides_match_point_enumeration(case):
                                      (True, True, False)):
         assert identities._lhs_xy_t(
             ctx, P, s, capt, positive, primed, strict, None, None
-        ).terms == lhs_xy_t_by_points(ctx, P, s, capt, positive, primed,
-                                      strict).terms
+        ).terms == times_one_minus_t(lhs_xy_t_by_points(
+            ctx, P, s, capt, positive, primed, strict)).terms
     total_s = sum(s)
     lhp_caps = {"t": capt,
                 "q": capt * total_s + sum(v - 1 for v in s) + P.p * total_s}
@@ -341,8 +357,8 @@ def test_lattice_sides_match_point_enumeration(case):
         walked = identities._level_graded_sums(
             ctx, P, s, capt, lambda v, sv: dict(zip(names, digits(v, sv))),
             None, None)
-        assert walked.terms == level_graded_sums_by_points(
-            ctx, P, s, capt, names, digits).terms, (caps, names)
+        assert walked.terms == times_one_minus_t(level_graded_sums_by_points(
+            ctx, P, s, capt, names, digits)).terms, (caps, names)
 
 
 def _extension_sides(P, s, capx, capt):
@@ -389,8 +405,8 @@ def _staircase_cases(draw):
 @given(_staircase_cases())
 def test_staircase_sides_match_extension_oracle(case):
     # rank falls and in-place division against Fraction descent sets and
-    # geometric products; at capx = 0 every x letter is over its cap, so
-    # None keys must pass through the staircase
+    # geometric products, the graded sides times 1 - t; at capx = 0 every x
+    # letter is over its cap, so None keys must pass through the staircase
     P, s, capx, capt = case
     for name, ctx, row, rule, letter, color in _extension_sides(P, s, capx,
                                                                 capt):
@@ -398,5 +414,47 @@ def test_staircase_sides_match_extension_oracle(case):
                                               color)
         want, want_ext = staircase_side_by_extensions(ctx, P, s, rule, letter,
                                                       color)
+        if "t" in ctx.index:
+            want = times_one_minus_t(want)
         assert got.terms == want.terms, name
         assert ext == want_ext == count_linear_extensions(P) * prod(s)
+
+
+@st.composite
+def _series_pairs(draw, where):
+    """Two series over t and two or three other variables, t placed where
+    given, with small caps (capt = 0 too); the second is the first, or the
+    first with a few coefficients changed, and the coefficients are
+    positive or of either sign."""
+    caps = draw(st.lists(st.integers(0, 3), min_size=2, max_size=3))
+    names = [f"v{i}" for i in range(len(caps))]
+    at = {"first": 0, "middle": 1, "last": len(names)}[where]
+    names.insert(at, "t")
+    caps.insert(at, draw(st.integers(0, 4)))
+    ctx = SeriesContext(dict(zip(names, caps)))
+    monomials = st.tuples(*[st.integers(0, c) for c in caps])
+    sign = draw(st.sampled_from([st.integers(1, 3), st.integers(-3, 3)]))
+    lhs = draw(st.dictionaries(monomials, sign, max_size=12))
+    rhs = dict(lhs)
+    if draw(st.booleans()):
+        rhs.update(draw(st.dictionaries(monomials, st.integers(-3, 3),
+                                        min_size=1, max_size=3)))
+
+    def series(terms):
+        return Series(ctx, {ctx.key_of(dict(zip(names, e))): c
+                            for e, c in terms.items() if c})
+
+    return series(lhs), series(rhs)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_report_from_one_minus_t_forms_matches_the_sides(where, data):
+    # the report rebuilt from both sides times 1 - t is the one comparing
+    # the sides themselves: status, compared and witness alike
+    lhs, rhs = data.draw(_series_pairs(where))
+    got = identities._series_report("X", {}, times_one_minus_t(lhs),
+                                    times_one_minus_t(rhs))
+    assert got.to_json() == series_report_by_sides("X", {}, lhs,
+                                                   rhs).to_json()

@@ -336,6 +336,18 @@ def test_sign_ranked_posets_match_the_filtered_enumeration():
         assert sign_rank(P).rho == rho
 
 
+def test_sign_ranked_posets_equal_validated_construction():
+    # the generator builds its posets without LabeledPoset's checks; each
+    # must be the validated poset, down to the stored order and closure
+    got = list(sign_ranked_posets(6))
+    assert len(got) == 14_320
+    for P, rho in got:
+        Q = LabeledPoset(P.p, P.covers)
+        assert (P, P.covers, P._topo, P._above) == (Q, Q.covers, Q._topo,
+                                                    Q._above)
+        assert rho == sign_rank(Q).rho
+
+
 def test_sign_ranked_corpus():
     corpus = list(sign_ranked_posets(3))
     assert len(corpus) == 12
