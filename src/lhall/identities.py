@@ -19,11 +19,12 @@ the descent set D and the extra power e.  D is read as the down-set DP of
 colored reads it: rank the pairs (r(x) + shift, x) by _pairs_by_ratio, and
 a step of pi descends exactly when the rank falls.
 
-A graded identity, one whose context has a variable t, is compared after
+Every lattice side is one call of lattice._region_sum, graded exactly when
+the context has a variable t.  A graded identity is compared after
 multiplying both sides by 1 - t, a unit of the truncated ring, so the sides
 agree in the window exactly when these forms do.  The lattice side then
-holds each point once, at t to its entry level, the least n whose level-n
-region admits it; the staircase denominator keeps 1 - w_i for i < p only,
+holds each point once, at t to its entry level, strict for R2 and weak for
+the others; the staircase denominator keeps 1 - w_i for i < p only,
 w_p = t.  An ungraded side drops t, so w_p = 1 and the same denominator
 serves.  _series_report rebuilds the report of the sides themselves.
 """
@@ -78,11 +79,11 @@ def _graded_size(series):
     descending order leaves the least e of each line last.
     """
     ctx = series.ctx
-    i = ctx.index["t"]
-    capt, shift = ctx.caps[i], ctx._shifts[i]
+    capt = ctx.caps[ctx.index["t"]]
     if min(series.terms.values(), default=1) < 1:
         return len(series._over_one_minus(ctx.key_of({"t": 1})).terms)
-    field = ((2 << capt.bit_length()) - 1) << shift
+    shift, mask = ctx._field("t")
+    field = mask << shift
     first = {key & ~field: key & field
              for key in sorted(series.terms, reverse=True)}
     return len(first) * (capt + 1) - (sum(first.values()) >> shift)
@@ -114,94 +115,19 @@ def _series_report(name, caps, lhs, rhs, details=None):
 # lattice point sides
 
 
-def _tables(hi, entry):
-    """Per coordinate j, the list of entry(j, v) for v = 0, ..., hi[j]."""
-    return [[entry(j, v) for v in range(h + 1)] for j, h in enumerate(hi)]
-
-
-def _digit_keys(ctx, s, hi, primed, labels):
-    """Per coordinate j, value -> packed key of x_l^q y_l^r, l = labels[j].
-
-    (q, r) are the digits of the value against s[j]; the entry is None past
-    the x cap, or where primed digits are undefined.  Each coordinate fills
-    only its own x and y fields, so the entries of one point never carry
-    into each other and their sum is the point's key.
-    """
-    def entry(j, v):
+def _digits(s, primed, labels):
+    """The exps of _region_sum for the x/y sides: coordinate j at value v
+    carries x_l^q y_l^r, l = labels[j], with (q, r) the digits of v against
+    s[j], r in 0..s[j]-1, or in 1..s[j] when primed (None at v = 0).  Each
+    coordinate fills only its own x and y fields, so the entries of one
+    point never carry into each other."""
+    def exps(j, v):
         if primed and v < 1:
             return None
         q, r = divmod(v - primed, s[j])
-        r += primed
-        return ctx.key_of({f"x{labels[j]}": q, f"y{labels[j]}": r})
+        return {f"x{labels[j]}": q, f"y{labels[j]}": r + primed}
 
-    return _tables(hi, entry)
-
-
-def _entry_levels(s, hi, strict):
-    """Per coordinate, value -> least level n whose region admits it."""
-    if strict:
-        return _tables(hi, lambda j, v: v // s[j] + 1)
-    return _tables(hi, lambda j, v: -(-v // s[j]))
-
-
-def _level_graded(ctx, capt, sums, width):
-    """Sum over key << width | m -> c of c * key * t^m.
-
-    A point enters the level-n region for all n at or beyond its entry
-    level m, so the graded side holds it at t^m + ... + t^capt, and times
-    1 - t at t^m alone.  One walk of the level-capt region settles every
-    point: those beyond it only enter after capt and are invisible here.
-    The keys carry no t, so adding a power of t to one cannot carry, and
-    distinct entries stay distinct.
-    """
-    powers = [ctx.key_of({"t": n}) for n in range(capt + 1)]
-    mask = (1 << width) - 1
-    return Series(ctx, {(packed >> width) + powers[packed & mask]: c
-                        for packed, c in sums.items()})
-
-
-def _lhs_xy(ctx, P, s, capx, positive, primed, max_points, max_steps,
-            labels=None):
-    """Sum of x^q y^r over the poset's points with quotients within capx.
-
-    Coordinate j of a point carries the variables x_l, y_l with
-    l = labels[j], by default the element j + 1 itself.
-    """
-    if primed:
-        lo, hi = [1] * P.p, [(capx + 1) * v for v in s]
-    elif positive:
-        lo, hi = [1] * P.p, [(capx + 1) * v - 1 for v in s]
-    else:
-        lo, hi = [0] * P.p, [(capx + 1) * v - 1 for v in s]
-    tables = _digit_keys(ctx, s, hi, primed, labels or P.elements)
-    sums, _ = _region_sum(ctx, P, s, lo, hi, tables, None, max_points,
-                          max_steps)
-    return Series(ctx, sums)
-
-
-def _lhs_xy_t(ctx, P, s, capt, positive, primed, strict, max_points,
-              max_steps):
-    """Like _lhs_xy but graded by the least n admitting each point."""
-    lo = [1] * P.p if positive else [0] * P.p
-    hi = [capt * v - 1 for v in s] if strict else [capt * v for v in s]
-    tables = _digit_keys(ctx, s, hi, primed, P.elements)
-    levels = _entry_levels(s, hi, strict)
-    return _level_graded(ctx, capt, *_region_sum(
-        ctx, P, s, lo, hi, tables, levels, max_points, max_steps))
-
-
-def _level_graded_sums(ctx, P, s, capt, digits, max_points, max_steps):
-    """Level-graded sum of the monomial of each point's digit totals.
-
-    digits(v, sv) gives one coordinate's exponents as a dict, and a point's
-    monomial takes their totals over its coordinates; the walk drops a
-    point as soon as a partial total is over its cap.
-    """
-    hi = [capt * v for v in s]
-    tables = _tables(hi, lambda j, v: ctx.key_of(digits(v, s[j])))
-    levels = _entry_levels(s, hi, strict=False)
-    return _level_graded(ctx, capt, *_region_sum(
-        ctx, P, s, [0] * P.p, hi, tables, levels, max_points, max_steps))
+    return exps
 
 
 def _bracket_terms(var, n):
@@ -345,8 +271,10 @@ def _rhs_uq(ctx, P, s, max_count):
 def _verify_xy(kind, positive, primed):
     def run(P, s, capx, capt, max_points, max_count, max_steps):
         ctx = _ctx_xy(P, s, capx)
-        lhs = _lhs_xy(ctx, P, s, capx, positive, primed, max_points,
-                      max_steps)
+        lhs = _region_sum(ctx, P, s, [int(positive)] * P.p,
+                          [(capx + 1) * v - 1 + primed for v in s],
+                          _digits(s, primed, P.elements),
+                          max_points=max_points, max_steps=max_steps)
         rhs, ext = _rhs_xy(ctx, P, s, kind, max_count)
         return _series_report(kind, {"x": capx}, lhs, rhs, {"extensions": ext})
 
@@ -362,9 +290,11 @@ def _verify_RECI(P, s, capx, capt, max_points, max_count, max_steps):
     its descent set and y_x^(s(x) - r(x)) as its color weight.
     """
     ctx = _ctx_xy(P, s, capx)
-    lhs = _lhs_xy(ctx, P.dual(), tuple(reversed(s)), capx, positive=True,
-                  primed=True, max_points=max_points, max_steps=max_steps,
-                  labels=tuple(reversed(P.elements)))
+    sd = tuple(reversed(s))
+    lhs = _region_sum(ctx, P.dual(), sd, [1] * P.p,
+                      [(capx + 1) * v for v in sd],
+                      _digits(sd, True, P.elements[::-1]),
+                      max_points=max_points, max_steps=max_steps)
     rhs, ext = _staircase_side(ctx, P, s, max_count, _RISES, _x_letter,
                                lambda x, r: {f"y{x}": s[x - 1] - r})
     return _series_report("RECI", {"x": capx}, lhs, rhs, {"extensions": ext})
@@ -380,8 +310,10 @@ def _verify_R(kind):
             return VerificationReport(
                 kind, "skip", reason="degenerate for the empty poset")
         ctx = _ctx_xy(P, s, capx, capt)
-        lhs = _lhs_xy_t(ctx, P, s, capt, positive, primed, strict, max_points,
-                        max_steps)
+        lhs = _region_sum(ctx, P, s, [int(positive)] * P.p,
+                          [capt * v - strict for v in s],
+                          _digits(s, primed, P.elements), strict=strict,
+                          max_points=max_points, max_steps=max_steps)
         rhs, ext = _rhs_xy(ctx, P, s, kind, max_count)
         return _series_report(kind, {"x": capx, "t": capt}, lhs, rhs,
                               {"extensions": ext})
@@ -460,9 +392,9 @@ def _verify_UQ(P, s, capx, capt, max_points, max_count, max_steps):
     """
     caps = _uq_caps(P, s, capt)
     ctx = SeriesContext(caps)
-    lhs = _level_graded_sums(ctx, P, s, capt,
-                             lambda v, sv: dict(zip("uq", divmod(v, sv))),
-                             max_points, max_steps)
+    lhs = _region_sum(ctx, P, s, [0] * P.p, [capt * v for v in s],
+                      lambda j, v: dict(zip("uq", divmod(v, s[j]))),
+                      max_points=max_points, max_steps=max_steps)
     rhs, ext = _rhs_uq(ctx, P, s, max_count)
     return _series_report("UQ", caps, lhs, rhs, {"extensions": ext})
 
@@ -476,8 +408,9 @@ def _verify_LHP(P, s, capx, capt, max_points, max_count, max_steps):
     caps = {"t": capt,
             "q": capt * total_s + sum(v - 1 for v in s) + P.p * total_s}
     ctx = SeriesContext(caps)
-    lhs = _level_graded_sums(ctx, P, s, capt, lambda v, sv: {"q": v},
-                             max_points, max_steps)
+    lhs = _region_sum(ctx, P, s, [0] * P.p, [capt * v for v in s],
+                      lambda j, v: {"q": v},
+                      max_points=max_points, max_steps=max_steps)
     rhs, ext = _staircase_side(ctx, P, s, max_count, _D,
                                lambda x: {"q": s[x - 1]}, _q_color)
     return _series_report("LHP", caps, lhs, rhs, {"extensions": ext})
@@ -617,16 +550,18 @@ def _check_k(k):
         raise InvalidInputError(f"k = {k!r} is not a positive integer")
 
 
-def verify_kn1(k, p, capt=6, max_points=None, max_count=None):
+def verify_kn1(k, p, capt=6, max_count=None):
+    """KN1 on the antichain of p elements with k colors each, to t^capt."""
     _check_k(k)
     return verify_identity("KN1", make_antichain(p), (k,) * p, capt=capt,
-                           max_points=max_points, max_count=max_count)
+                           max_count=max_count)
 
 
-def verify_kn(k, p, capt=6, max_points=None, max_count=None):
+def verify_kn(k, p, capt=6, max_count=None):
+    """KN on the antichain of p elements with k colors each, to t^capt."""
     _check_k(k)
     return verify_identity("KN", make_antichain(p), (k,) * p, capt=capt,
-                           max_points=max_points, max_count=max_count)
+                           max_count=max_count)
 
 
 def kn_descent_polynomial(k, p, q_values, max_steps=None):

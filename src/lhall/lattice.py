@@ -21,6 +21,7 @@ from .posets import (_cap, _check_dp, _cover_masks, linear_extensions,
                      sign_ranked_posets, validate_smap)
 from .reports import VerificationReport
 from .roots import interlacing_failure, is_real_rooted
+from .series import Series
 
 DEFAULT_MAX_POINTS = 2_000_000
 
@@ -96,26 +97,29 @@ def enumerate_points(P, s, lo, hi, max_points=None):
         yield ()
 
 
-def _region_sum(ctx, P, s, lo, hi, tables, levels=None, max_points=None,
+def _region_sum(ctx, P, s, lo, hi, exps, strict=False, max_points=None,
                 max_steps=None):
-    """Sum of packed monomials over the (P, s)-partition points of a box.
+    """The lattice side over the (P, s)-partition points of a box, a Series.
 
-    Coordinate j + 1 at value v weighs tables[j][v], a key of ctx or None,
-    and enters at level levels[j][v] when levels are given (else 0).  A
-    point weighs the sum of its entries and its level is their largest.
-    Returns (sums, w): sums maps key << w | level to the number of points
-    whose entries are all in cap and sum within the caps of ctx, and w is
-    the bit width of the largest level.
+    Coordinate j + 1 at value v, 0 <= lo[j] <= v <= hi[j], carries the
+    exponents exps(j, v), or None, which drops the point, and a point
+    carries their product; points over a cap of ctx drop out.  The side is
+    graded exactly when ctx has a variable t, which exps leaves alone: it
+    sums t^n times the points of the level-n region, f(x) <= n s(x) (or
+    f(x) < n s(x) when strict), and is returned times 1 - t, which holds
+    each point once, at t to its entry level: the largest ceil(v / s) over
+    its coordinates (v // s + 1 when strict).
 
     The walk assigns values in label order, as enumerate_points does, but
     carries a layer of frontier states instead of single points: a state
     holds the values of the assigned coordinates that a later cover still
-    reads, and maps each packed key << w | running level to the number of
-    partial points reaching it.  A value whose entry is None, or which
-    takes the running key past its caps (the SeriesContext guard test after
-    each addition), prunes its whole subtree; points that agree on the
-    frontier and the packed sum merge, which is the transfer-matrix method
-    (Stanley, EC1 4.7).
+    reads, and maps each packed key << w | running level, w the bit width
+    of the t cap, to the number of partial points reaching it.  A value
+    whose entry is None or past the t cap, or which takes the running key
+    past its caps (the SeriesContext guard test after each addition),
+    prunes its whole subtree; points that agree on the frontier and the
+    packed sum merge, which is the transfer-matrix method (Stanley, EC1
+    4.7).
 
     Refused up front when the level-n region holding the box, n the least
     level with hi <= n s, has more lattice points than max_points (else
@@ -130,10 +134,18 @@ def _region_sum(ctx, P, s, lo, hi, tables, levels=None, max_points=None,
             raise ResourceLimitError(
                 f"{count} lattice points in the level-{n} region exceed the "
                 f"cap {limit}; raise LHALL_MAX_POINTS")
-    if levels is None:
-        levels = [[0] * len(t) for t in tables]
-    width = max((max(lv, default=0) for lv in levels), default=0).bit_length()
+    graded = "t" in ctx.index
+    capt = ctx.caps[ctx.index["t"]] if graded else 0
+    width = capt.bit_length()
     mask = (1 << width) - 1
+
+    def enter(j, v):
+        # coordinate j at value v: (key << width, entry level), or None
+        m = (v // s[j] + 1 if strict else _ceil_div(v, s[j])) if graded else 0
+        e = exps(j, v)
+        key = None if e is None or m > capt else ctx.key_of(e)
+        return None if key is None else (key << width, m)
+
     bias, guard = ctx._bias << width, ctx._guard << width
     lower_of, upper_of = _earlier_covers(P)
     last = [0] * (P.p + 1)  # the last coordinate whose bounds read u
@@ -150,8 +162,7 @@ def _region_sum(ctx, P, s, lo, hi, tables, levels=None, max_points=None,
         frontier.append(x)
         keep = [i for i, u in enumerate(frontier) if last[u] > x]
         frontier = [frontier[i] for i in keep]
-        entries = [None if k is None else (k << width, m)
-                   for k, m in zip(tables[x - 1], levels[x - 1])]
+        entries = [enter(x - 1, v) for v in range(hi[x - 1] + 1)]
         nxt = {}
         for vals, sums in layer.items():
             a, b = lo[x - 1], hi[x - 1]
@@ -178,7 +189,10 @@ def _region_sum(ctx, P, s, lo, hi, tables, levels=None, max_points=None,
                         key += m - (key & mask)
                     out[key] = out.get(key, 0) + c
         layer = nxt
-    return layer.get((), {}), width
+    powers = ([ctx.key_of({"t": n}) for n in range(capt + 1)] if graded
+              else [0])
+    return Series(ctx, {(packed >> width) + powers[packed & mask]: c
+                        for packed, c in layer.get((), {}).items()})
 
 
 def partitions_leq(P, s, n, max_points=None):

@@ -95,11 +95,18 @@ class SeriesContext:
                 return None
         return total
 
+    def _field(self, name):
+        """(shift, mask) of a variable's bit field: its exponent in a packed
+        key is (key >> shift) & mask, the guard bit included."""
+        i = self.index[name]
+        return self._shifts[i], (2 << self.caps[i].bit_length()) - 1
+
     def _exponents(self, key):
         """The nonzero exponents of a packed key, as a name -> exponent dict."""
         out = {}
-        for name, cap, shift in zip(self.names, self.caps, self._shifts):
-            e = (key >> shift) & ((2 << cap.bit_length()) - 1)
+        for name in self.names:
+            shift, mask = self._field(name)
+            e = (key >> shift) & mask
             if e:
                 out[name] = e
         return out

@@ -8,7 +8,8 @@ every colored extension, level counts from a depth-first walk over the
 points, sign-ranked posets from filtering every labeled poset, classical
 Eulerian numbers from counting descents of uncolored permutations, and
 truncated series arithmetic on exponent tuples; the lattice sides of the
-identities come from one enumerated point at a time, and their extension
+identities come from one enumerated point at a time, with digits and entry
+levels recomputed from their definitions, and their extension
 sides from one colored extension at a time, both in full rather than times
 1 - t, and their reports from comparing those sides.  The helpers only
 tests use live here too: corpus lookup by name, posets from arbitrary
@@ -18,14 +19,13 @@ relations, and the strict order.
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
-from operator import getitem
+from math import ceil, floor
 
 from hypothesis import strategies as st
 
-from lhall import (CORPUS, InvalidInputError, LabeledPoset, Series,
+from lhall import (CORPUS, InvalidInputError, LabeledPoset,
                    VerificationReport, enumerate_points, first_mismatch,
                    linear_extensions, make_antichain, sign_rank)
-from lhall.identities import _digit_keys, _entry_levels, _tables
 from lhall.posets import _bits
 
 
@@ -300,25 +300,54 @@ def series_first_mismatch(a, b):
     return None
 
 
-def _keyed_points(points, tables):
-    """(point, key) for the points whose table entries are all in cap."""
-    for f in points:
-        keys = list(map(getitem, tables, f))
-        if None not in keys:
-            yield f, sum(keys)
+def _entry_level(v, sv, strict=False):
+    """The least n whose level-n region admits the value v against sv:
+    f/s <= n, or f/s < n when strict, on Fractions."""
+    ratio = Fraction(v, sv)
+    return floor(ratio) + 1 if strict else ceil(ratio)
 
 
-def _level_graded(ctx, capt, counts):
-    """Sum over (key, m) -> c of c * key * (t^m + ... + t^capt)."""
+def region_sum_by_points(ctx, P, s, lo, hi, exps, strict=False):
+    """The lattice side summed over enumerate_points, in full: each point
+    whose coordinates all carry exponents adds the monomial of their totals
+    and, when ctx has a variable t, times t^m + ... + t^capt, m the largest
+    entry level of its coordinates.  A total over its cap drops the point."""
+    graded = "t" in ctx.index
+    capt = ctx.caps[ctx.index["t"]] if graded else 0
     total = ctx.zero()
-    for (key, m), c in counts.items():
-        for n in range(m, capt + 1):
-            total._add_term(key + ctx.key_of({"t": n}), c)
+    for f in enumerate_points(P, s, lo, hi):
+        parts = [exps(j, v) for j, v in enumerate(f)]
+        if None in parts:
+            continue
+        totals = Counter()
+        for part in parts:
+            totals.update(part)
+        powers = [{}]
+        if graded:
+            m = max((_entry_level(v, sv, strict) for v, sv in zip(f, s)),
+                    default=0)
+            powers = [{"t": n} for n in range(m, capt + 1)]
+        for power in powers:
+            key = ctx.key_of({**totals, **power})
+            if key is not None:
+                total._add_term(key, 1)
     return total
 
 
-def _max_level(levels, f):
-    return max(map(getitem, levels, f), default=0)
+def _digit_exps(s, primed, labels):
+    """x_l^q y_l^r for v = q s + r, l = labels[j]: r in 0..s-1 by divmod,
+    or when primed q = ceil(v/s) - 1 and r in 1..s, defined for v >= 1."""
+    def exps(j, v):
+        if not primed:
+            q, r = divmod(v, s[j])
+        elif v < 1:
+            return None
+        else:
+            q = ceil(Fraction(v, s[j])) - 1
+            r = v - q * s[j]
+        return {f"x{labels[j]}": q, f"y{labels[j]}": r}
+
+    return exps
 
 
 def lhs_xy_by_points(ctx, P, s, capx, positive, primed, labels=None):
@@ -330,41 +359,25 @@ def lhs_xy_by_points(ctx, P, s, capx, positive, primed, labels=None):
         lo, hi = [1] * P.p, [(capx + 1) * v - 1 for v in s]
     else:
         lo, hi = [0] * P.p, [(capx + 1) * v - 1 for v in s]
-    tables = _digit_keys(ctx, s, hi, primed, labels or P.elements)
-    counts = Counter(key for _, key in _keyed_points(
-        enumerate_points(P, s, lo, hi), tables))
-    return Series(ctx, counts)
+    return region_sum_by_points(ctx, P, s, lo, hi,
+                                _digit_exps(s, primed, labels or P.elements))
 
 
 def lhs_xy_t_by_points(ctx, P, s, capt, positive, primed, strict):
     """The level-graded x/y lattice side of R1-R4, over enumerate_points."""
     lo = [1] * P.p if positive else [0] * P.p
     hi = [capt * v - 1 for v in s] if strict else [capt * v for v in s]
-    tables = _digit_keys(ctx, s, hi, primed, P.elements)
-    levels = _entry_levels(s, hi, strict)
-    points = enumerate_points(P, s, lo, hi)
-    return _level_graded(ctx, capt, Counter(
-        (key, _max_level(levels, f))
-        for f, key in _keyed_points(points, tables)))
+    return region_sum_by_points(ctx, P, s, lo, hi,
+                                _digit_exps(s, primed, P.elements), strict)
 
 
 def level_graded_sums_by_points(ctx, P, s, capt, names, digits):
     """The UQ and LHP lattice sides: digits(v, sv) gives one coordinate's
     exponents of the named variables as a tuple, a point's monomial takes
     their totals, and a total over its cap drops the point."""
-    hi = [capt * v for v in s]
-    tables = _tables(hi, lambda j, v: digits(v, s[j]))
-    levels = _entry_levels(s, hi, strict=False)
-    totals = Counter(
-        (tuple(map(sum, zip(*map(getitem, tables, f)))),
-         _max_level(levels, f))
-        for f in enumerate_points(P, s, [0] * P.p, hi))
-    counts = Counter()
-    for (exps, m), c in totals.items():
-        key = ctx.key_of(dict(zip(names, exps)))
-        if key is not None:
-            counts[key, m] += c
-    return _level_graded(ctx, capt, counts)
+    return region_sum_by_points(
+        ctx, P, s, [0] * P.p, [capt * v for v in s],
+        lambda j, v: dict(zip(names, digits(v, s[j]))))
 
 
 def staircase_side_by_extensions(ctx, P, s, rule, letter, color):

@@ -283,15 +283,13 @@ def test_dropped_point_gives_the_smallest_witness(monkeypatch, name):
     original = identities._region_sum
     calls = []
 
-    def drop_one(ctx, P, s, lo, hi, tables, levels, *caps):
-        # take the dropped point's own entry, walked alone, off the sums
-        sums, width = original(ctx, P, s, lo, hi, tables, levels, *caps)
-        (entry,) = original(ctx, P, s, dropped, dropped, tables, levels)[0]
-        calls.append(sums[entry])
-        sums[entry] -= 1
-        if not sums[entry]:
-            del sums[entry]
-        return sums, width
+    def drop_one(ctx, P, s, lo, hi, exps, strict=False, **caps):
+        # take the dropped point's one term, walked alone, off the side
+        side = original(ctx, P, s, lo, hi, exps, strict, **caps)
+        alone = original(ctx, P, s, dropped, dropped, exps, strict)
+        (key,) = alone.terms
+        calls.append(side.terms[key])
+        return side - alone
 
     monkeypatch.setattr(identities, "_region_sum", drop_one)
     report = verify_identity(name, P, s, capx, capt)
@@ -310,7 +308,7 @@ def test_dropped_point_gives_the_smallest_witness(monkeypatch, name):
 
 @st.composite
 def _side_cases(draw):
-    """(P, s, capx, capt), the largest box of the nine sides kept near 4,000
+    """(P, s, capx, capt), the largest box of the ten sides kept near 4,000
     points so that the enumerating oracle stays cheap."""
     P = draw(posets(max_p=5))
     capx, capt = draw(st.integers(0, 3)), draw(st.integers(0, 5))
@@ -322,18 +320,22 @@ def _side_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(_side_cases())
 def test_lattice_sides_match_point_enumeration(case):
-    # the frontier walk against one enumerated point at a time, on all nine
-    # lattice sides, the graded ones times 1 - t; the tight UQ and LHP caps
-    # make digit totals overflow
+    # the frontier walk against one enumerated point at a time, with digits
+    # and entry levels recomputed from their definitions, on the boxes of
+    # all ten lattice sides, the graded ones times 1 - t; the tight UQ and
+    # LHP caps make digit totals overflow
     P, s, capx, capt = case
+    region_sum, digits = identities._region_sum, identities._digits
     ctx = identities._ctx_xy(P, s, capx)
     for positive, primed in ((False, False), (True, False), (True, True)):
-        assert identities._lhs_xy(
-            ctx, P, s, capx, positive, primed, None, None
+        hi = [(capx + 1) * v - 1 + primed for v in s]
+        assert region_sum(
+            ctx, P, s, [int(positive)] * P.p, hi, digits(s, primed, P.elements)
         ).terms == lhs_xy_by_points(ctx, P, s, capx, positive, primed).terms
     dual, sd, mirrored = P.dual(), tuple(reversed(s)), P.elements[::-1]
-    assert identities._lhs_xy(
-        ctx, dual, sd, capx, True, True, None, None, mirrored
+    assert region_sum(
+        ctx, dual, sd, [1] * P.p, [(capx + 1) * v for v in sd],
+        digits(sd, True, mirrored)
     ).terms == lhs_xy_by_points(ctx, dual, sd, capx, True, True,
                                 mirrored).terms
     ctx = identities._ctx_xy(P, s, capx, capt)
@@ -341,24 +343,25 @@ def test_lattice_sides_match_point_enumeration(case):
                                      (False, False, True),
                                      (True, False, False),
                                      (True, True, False)):
-        assert identities._lhs_xy_t(
-            ctx, P, s, capt, positive, primed, strict, None, None
+        assert region_sum(
+            ctx, P, s, [int(positive)] * P.p, [capt * v - strict for v in s],
+            digits(s, primed, P.elements), strict
         ).terms == times_one_minus_t(lhs_xy_t_by_points(
             ctx, P, s, capt, positive, primed, strict)).terms
     total_s = sum(s)
     lhp_caps = {"t": capt,
                 "q": capt * total_s + sum(v - 1 for v in s) + P.p * total_s}
-    for caps, names, digits in (
+    for caps, names, split in (
             (identities._uq_caps(P, s, capt), "uq", divmod),
             ({"t": capt, "u": 3, "q": 2}, "uq", divmod),
             (lhp_caps, "q", lambda v, sv: (v,)),
             ({"t": capt, "q": 7}, "q", lambda v, sv: (v,))):
         ctx = SeriesContext(caps)
-        walked = identities._level_graded_sums(
-            ctx, P, s, capt, lambda v, sv: dict(zip(names, digits(v, sv))),
-            None, None)
+        walked = region_sum(
+            ctx, P, s, [0] * P.p, [capt * v for v in s],
+            lambda j, v: dict(zip(names, split(v, s[j]))))
         assert walked.terms == times_one_minus_t(level_graded_sums_by_points(
-            ctx, P, s, capt, names, digits)).terms, (caps, names)
+            ctx, P, s, capt, names, split)).terms, (caps, names)
 
 
 def _extension_sides(P, s, capx, capt):

@@ -15,10 +15,11 @@ from lhall import (InvalidInputError, LabeledPoset, Polynomial,
                    verify_cone_decomposition, verify_ordinal_interlacing,
                    verify_recipr)
 from lhall.corpus import CORPUS
-from lhall.identities import _digit_keys
+from lhall.identities import _digits
 from oracles import (all_labeled_posets, box_points, corpus_get,
-                     ehrhart_by_walk, is_point_frac, posets, region_points,
-                     sign_ranked_corpus, smaps, smaps_within)
+                     ehrhart_by_walk, is_point_frac, posets,
+                     region_points, region_sum_by_points, sign_ranked_corpus,
+                     smaps, smaps_within, times_one_minus_t)
 
 
 def test_enumerate_points_frozen_cases():
@@ -87,26 +88,58 @@ def test_is_partition_point_matches_oracle(data):
 @settings(max_examples=120)
 @given(st.data())
 def test_qr_roundtrip(data):
-    # the digit keys of the identities' lattice sides decode to x^q y^r
-    # with f = q s + r, r in 0..s-1, or in 1..s when primed (f >= 1)
+    # the digits of the identities' lattice sides are x^q y^r with
+    # f = q s + r, r in 0..s-1, or in 1..s when primed (f >= 1)
     p = data.draw(st.integers(1, 5))
     s = tuple(data.draw(st.integers(1, 4)) for _ in range(p))
-    hi = [9] * p
-    ctx = SeriesContext({**{f"x{j}": 9 for j in range(1, p + 1)},
-                         **{f"y{j}": v for j, v in enumerate(s, 1)}})
     for primed in (False, True):
-        tables = _digit_keys(ctx, s, hi, primed, range(1, p + 1))
+        exps = _digits(s, primed, range(1, p + 1))
         for j, sv in enumerate(s):
             for f in range(10):
-                key = tables[j][f]
+                e = exps(j, f)
                 if primed and f < 1:
-                    assert key is None
+                    assert e is None
                     continue
-                exps = ctx._exponents(key)
-                q, r = exps.get(f"x{j + 1}", 0), exps.get(f"y{j + 1}", 0)
-                assert q * sv + r == f and set(exps) <= {f"x{j + 1}",
-                                                         f"y{j + 1}"}
+                assert set(e) == {f"x{j + 1}", f"y{j + 1}"}
+                q, r = e[f"x{j + 1}"], e[f"y{j + 1}"]
+                assert q >= 0 and q * sv + r == f
                 assert 1 <= r <= sv if primed else 0 <= r < sv
+
+
+@st.composite
+def _box_cases(draw):
+    """(P, s, lo, hi, ctx, exps, strict): a box whose bounds ignore s,
+    exponents that are missing at drawn values inside it, caps that cut
+    the totals, and a context with t in any position, or without t."""
+    P = draw(posets(max_p=4))
+    s = draw(smaps(P))
+    lo = [draw(st.integers(0, 4)) for _ in P.elements]
+    hi = [a + draw(st.integers(0, 6)) for a in lo]
+    holes = {(j, v) for j in range(P.p)
+             for v in draw(st.sets(st.integers(lo[j], hi[j]), max_size=2))}
+    caps = {"a": draw(st.integers(0, 12)), "b": draw(st.integers(0, 6))}
+    if draw(st.booleans()):
+        caps["t"] = draw(st.integers(0, 5))
+    order = draw(st.permutations(list(caps)))
+    ctx = SeriesContext({name: caps[name] for name in order})
+
+    def exps(j, v):
+        return None if (j, v) in holes else {"a": v // 2, "b": (v + j) % 3}
+
+    return P, s, lo, hi, ctx, exps, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_box_cases())
+def test_region_sum_matches_points_on_random_boxes(case):
+    # the frontier walk against one enumerated point at a time, graded by
+    # strict or weak entry levels (times 1 - t) or not graded
+    P, s, lo, hi, ctx, exps, strict = case
+    want = region_sum_by_points(ctx, P, s, lo, hi, exps, strict)
+    if "t" in ctx.index:
+        want = times_one_minus_t(want)
+    walked = lattice._region_sum(ctx, P, s, lo, hi, exps, strict)
+    assert walked.ctx is ctx and walked.terms == want.terms
 
 
 def test_ehrhart_counts_frozen():
