@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import factorial, lcm, prod
 
 from .errors import InvalidInputError
-from .polys import Polynomial
+from .polys import Polynomial, _trusted_polynomial
 from .posets import (_check_dp, _check_walk, _cover_masks, _walk_extensions,
                      _word_table, validate_smap)
 
@@ -144,12 +144,15 @@ def x_order(P, s):
 
 
 def _unpack(packed, bits):
+    """The polynomial packed `bits` bits per coefficient into a nonnegative
+    int.  Its last chunk is nonzero, so the coefficients are stripped ints
+    and are used as they are."""
     mask = (1 << bits) - 1
     coeffs = []
     while packed:
         coeffs.append(packed & mask)
         packed >>= bits
-    return Polynomial(tuple(coeffs))
+    return _trusted_polynomial(tuple(coeffs))
 
 
 def _descent_polynomial(P, s, shift=0, start=False, end=True, weight=None,

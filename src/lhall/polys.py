@@ -99,6 +99,15 @@ class Polynomial:
         return f"Polynomial({list(self.coeffs)})"
 
 
+def _trusted_polynomial(coeffs):
+    """The Polynomial with exactly this tuple of ints as coefficients, which
+    must be stripped already (empty, or ending in a nonzero int): nothing
+    is checked.  For the counts of the down-set DP, ints by construction."""
+    poly = object.__new__(Polynomial)
+    object.__setattr__(poly, "coeffs", coeffs)
+    return poly
+
+
 def _as_poly(v):
     if isinstance(v, Polynomial):
         return v

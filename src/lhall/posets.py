@@ -165,16 +165,24 @@ def make_antichain(p):
 def ordinal_sum_of_antichains(sizes):
     """Antichain blocks stacked bottom to top; labels run in block order.
 
-    Every element of a block covers every element of the block below it.
+    Every element of a block covers every element of the block below it,
+    and lies below every label past the end of its own block.  Only the
+    sizes are checked: covers between neighbouring blocks are in range,
+    acyclic and irredundant by construction, so the poset is built by
+    _trusted_poset from them and those strictly-above masks.
     """
-    covers = []
+    covers, ends = [], []
     block = range(1, 1)
     for a in sizes:
         if not isinstance(a, int) or isinstance(a, bool) or a < 1:
             raise InvalidInputError("block sizes must be positive integers")
         below, block = block, range(block.stop, block.stop + a)
         covers += [(x, y) for x in below for y in block]
-    return LabeledPoset(block.stop - 1, frozenset(covers))
+        ends += [block.stop] * a
+    p = block.stop - 1
+    full = (1 << p) - 1
+    return _trusted_poset(p, [full >> (e - 1) << (e - 1) for e in ends],
+                          covers)
 
 
 def _cap(value, env, default):
@@ -433,7 +441,12 @@ def _sign_ranked_levels(pmax):
 
 def _trusted_poset(p, up, covers):
     """The LabeledPoset with these cover pairs and strictly-above masks
-    (up[x - 1] for element x), which must be valid: nothing is checked."""
+    (up[x - 1] for element x), which must be valid: nothing is checked.
+
+    For posets valid by construction, those of _sign_ranked_levels and of
+    ordinal_sum_of_antichains.  _topo still comes from _toposort, so it is
+    the order LabeledPoset would store.
+    """
     P = object.__new__(LabeledPoset)
     object.__setattr__(P, "p", p)
     object.__setattr__(P, "covers", frozenset(covers))

@@ -37,17 +37,21 @@ def _strip(c):
 def _canonical(poly):
     """Integer tuple with denominators cleared and positive content divided out.
 
-    The sign of the leading coefficient is preserved.
+    The sign of the leading coefficient is preserved.  The coefficients of
+    a Polynomial are stripped ints and Fractions, so one with only ints is
+    already integral and goes straight to its primitive part; only one
+    with a Fraction has its denominators cleared by int_coefficients.
     """
     if not isinstance(poly, Polynomial):
         poly = Polynomial(tuple(poly))
-    return tuple(_primitive(_strip(int_coefficients(poly))))
+    c = poly.coeffs
+    if not all(type(ci) is int for ci in c):
+        c = int_coefficients(poly)
+    return tuple(_primitive(c))
 
 
 def _primitive(c):
-    g = 0
-    for ci in c:
-        g = gcd(g, ci)
+    g = gcd(*c)
     if g > 1:
         return [ci // g for ci in c]
     return list(c)

@@ -422,9 +422,13 @@ def times_one_minus_t(series):
 
 
 def series_report_by_sides(name, caps, lhs, rhs, details=None):
-    """The report on lhs = rhs, from the sides themselves: a pass counts
-    their terms, a failure the terms of either side, with its witness at
-    the first monomial where they differ."""
+    """The report on lhs = rhs, from the sides themselves: a skip when both
+    are empty, a pass counts their terms, a failure the terms of either
+    side, with its witness at the first monomial where they differ."""
+    if not lhs.terms and not rhs.terms:
+        return VerificationReport(
+            name, "skip", caps=caps, details=details or {},
+            reason="no monomial of either side lies within the caps")
     if lhs.terms == rhs.terms:
         return VerificationReport(name, "pass", caps=caps,
                                   compared=len(lhs.terms),

@@ -73,6 +73,22 @@ def test_reci_smallest_instance():
     assert report.passed and report.compared > 0
 
 
+def test_empty_window_is_a_skip():
+    # on the descending 4-chain with s = 1 every point has a value of at
+    # least 4, over capx = 3, and the one extension's side carries x1^4:
+    # both sides are empty in the window, so nothing is compared
+    chain = make_chain((4, 3, 2, 1))
+    assert chain.covers == {(2, 1), (3, 2), (4, 3)}
+    for name in ("F_PLUS", "R3"):
+        report = verify_identity(name, chain, (1, 1, 1, 1), capx=3, capt=5)
+        assert report.status == "skip", name
+        assert report.compared == 0
+        assert report.reason == ("no monomial of either side lies within "
+                                 "the caps")
+        assert report.details == {"extensions": 1}
+    assert verify_identity("F", chain, (1, 1, 1, 1), capx=3).passed
+
+
 def test_skip_semantics():
     chain = make_chain((1, 2))
     assert verify_identity("COR6", chain, (1, 2)).status == "skip"

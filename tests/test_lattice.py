@@ -341,6 +341,56 @@ def test_verify_ordinal_interlacing():
         verify_ordinal_interlacing((), ())
 
 
+def _spoiled_family(monkeypatch, members):
+    """Make refined_eulerian return these members under its own keys."""
+    original = lattice.refined_eulerian
+
+    def spoiled(P, s, max_steps=None):
+        return dict(zip(original(P, s, max_steps), members))
+
+    monkeypatch.setattr(lattice, "refined_eulerian", spoiled)
+
+
+def test_verify_ordinal_interlacing_failures(monkeypatch):
+    # (1,) with s = 3 has the keys (0, 1), (1, 1), (2, 1) in X order; every
+    # check on the family still runs, however it was built
+    f1, f2, f3 = (Polynomial((20, 9, 1)), Polynomial((27, 15, 2)),
+                  Polynomial((14, 11, 2)))
+    _spoiled_family(monkeypatch, [f1, f2, f3])
+    report = verify_ordinal_interlacing((1,), (3,))
+    assert report.failed
+    assert report.reason == "family member fails to interleave a later one"
+    assert report.witness == {"pair": [[0, 1], [2, 1]], "polys": [f1, f3]}
+
+    monkeypatch.undo()
+    _spoiled_family(monkeypatch, [Polynomial((1,)), Polynomial((1, 1, 1)),
+                                  Polynomial((0, 1))])
+    report = verify_ordinal_interlacing((1,), (3,))
+    assert report.failed
+    assert report.reason == "interleaving needs real-rooted polynomials"
+
+    monkeypatch.undo()
+    original = lattice.eulerian_polynomial
+    monkeypatch.setattr(lattice, "eulerian_polynomial",
+                        lambda P, s, max_steps=None:
+                        original(P, s, max_steps) + Polynomial((0, 1)))
+    report = verify_ordinal_interlacing((2, 1), (2, 2))
+    assert report.failed
+    assert report.reason == ("refined family does not sum to the Eulerian "
+                             "polynomial")
+
+    # one nonzero member is interlacing on its own, real-rooted or not
+    monkeypatch.undo()
+    bad = Polynomial((1, 1, 1))
+    _spoiled_family(monkeypatch, [Polynomial(()), bad, Polynomial(())])
+    monkeypatch.setattr(lattice, "eulerian_polynomial",
+                        lambda P, s, max_steps=None: bad)
+    report = verify_ordinal_interlacing((1,), (3,))
+    assert report.failed
+    assert report.reason == "Eulerian polynomial is not real-rooted"
+    assert report.witness == {"eulerian": bad}
+
+
 def test_all_labeled_posets_counts():
     assert [len(list(all_labeled_posets(p))) for p in range(5)] == [
         1, 1, 3, 19, 219]

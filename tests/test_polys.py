@@ -10,6 +10,8 @@ from lhall import (InvalidInputError, NotPolynomialError, Polynomial,
                    compose_linear, eulerian_polynomial, gamma_vector,
                    hstar_from_counts, int_coefficients, interpolate,
                    is_palindromic, kn_descent_polynomial, monomial)
+from lhall.colored import _unpack
+from lhall.polys import _trusted_polynomial
 from oracles import posets, smaps
 
 small_polys = st.builds(
@@ -147,3 +149,28 @@ def test_coefficients_are_ints_when_integral(f, g, a, data):
     k, m = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3))
     q = [data.draw(rationals(0, 3)) for _ in range(m)]
     assert _exact_form(kn_descent_polynomial(k, m, q).coeffs)
+
+
+@st.composite
+def _packed_rows(draw):
+    """(packed, bits, chunks): a DP row packed `bits` bits per coefficient,
+    chunks its coefficients from the constant term up, the last nonzero."""
+    bits = draw(st.integers(1, 40))
+    chunks = draw(st.lists(st.integers(0, (1 << bits) - 1), max_size=8))
+    if chunks:
+        chunks[-1] = draw(st.integers(1, (1 << bits) - 1))
+    return sum(c << bits * i for i, c in enumerate(chunks)), bits, chunks
+
+
+@settings(max_examples=300, deadline=None)
+@given(_packed_rows())
+def test_unpacked_rows_are_validated_polynomials(row):
+    # _unpack builds its result unchecked; it must be the Polynomial that
+    # construction with every check gives
+    packed, bits, chunks = row
+    want = Polynomial(tuple(chunks))
+    for got in (_unpack(packed, bits), _trusted_polynomial(tuple(chunks))):
+        assert got.coeffs == want.coeffs
+        assert all(type(c) is int for c in got.coeffs)
+        assert got == want and hash(got) == hash(want)
+        assert repr(got) == repr(want)

@@ -99,9 +99,24 @@ def test_ordinal_sum_of_antichains_matches_relations():
                 p, relations), sizes
     assert ordinal_sum_of_antichains((2, 1)) == LabeledPoset(
         3, frozenset({(1, 3), (2, 3)}))
-    for sizes in ((2, 0), (0,), (1, -1), (True,), (1.0,)):
+    for sizes in ((2, 0), (0,), (3, 0, 1), (1, -1), (True,), (1, False),
+                  (1.0,)):
         with pytest.raises(InvalidInputError):
             ordinal_sum_of_antichains(sizes)
+
+
+def test_ordinal_sum_of_antichains_equals_validated_construction():
+    # built from its own covers and masks without LabeledPoset's checks; it
+    # must be the validated poset, down to the stored order and closure
+    count = 0
+    for p in range(10):
+        for sizes in _compositions(p):
+            P = ordinal_sum_of_antichains(sizes)
+            Q = LabeledPoset(P.p, P.covers)
+            assert (P, hash(P), P._topo, P._above) == (Q, hash(Q), Q._topo,
+                                                       Q._above), sizes
+            count += 1
+    assert count == 512                     # () and 511 compositions
 
 
 def test_linear_extensions_enumeration():

@@ -1,6 +1,7 @@
 """Sturm-chain root isolation, real-rootedness and interleaving."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -307,3 +308,42 @@ def test_interlacing_family_costs_one_test_per_nonzero_member(monkeypatch):
         nonzero = sum(not f.is_zero() for f in family)
         assert len(calls) <= nonzero
         assert all(f and g for f, g in calls)
+
+
+def _canonical_by_fractions(cs):
+    """Denominators cleared by the lcm, then the positive content divided
+    out, all on Fractions: the integer key _canonical must give."""
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    scale = lcm(*(c.denominator for c in cs))
+    ints = [int(c * scale) for c in cs]
+    g = gcd(*ints)
+    return tuple(c // g for c in ints)
+
+
+_coefficients = st.one_of(
+    st.lists(st.integers(-9, 9), max_size=6),
+    st.lists(st.integers(-9, 9) | st.fractions(-4, 4, max_denominator=6),
+             max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_coefficients, st.integers(1, 6))
+def test_canonical_matches_cleared_denominators(cs, content):
+    # an all-int polynomial skips int_coefficients; its key must still be
+    # the primitive part, with the sign of the leading coefficient kept
+    cs = [c * content for c in cs]
+    want = _canonical_by_fractions(cs)
+    assert roots._canonical(Polynomial(tuple(cs))) == want
+    assert roots._canonical(cs) == want
+
+
+def test_canonical_hand_cases():
+    assert roots._canonical(Polynomial(())) == ()
+    assert roots._canonical((0, 0)) == ()
+    assert roots._canonical((6, 0, -4, 0)) == (3, 0, -2)
+    assert roots._canonical(Polynomial((-4, 0, -6))) == (-2, 0, -3)
+    assert roots._canonical((Fraction(1, 2), Fraction(-3, 4))) == (2, -3)
+    assert roots._canonical((Fraction(4, 3), 2)) == (2, 3)
+    assert all(type(c) is int for c in roots._canonical((Fraction(6, 3), 4)))
