@@ -10,7 +10,7 @@ tying all of these together.
 
 from .colored import (ColoredPermutation, DescentProfile, colored_extensions,
                       descent_profile, eulerian_polynomial, refined_eulerian,
-                      statistics, x_order)
+                      statistics)
 from .corpus import CORPUS
 from .errors import (InternalCheckError, InvalidInputError, LhallError,
                      NotPolynomialError, ResourceLimitError)

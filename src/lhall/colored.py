@@ -138,11 +138,6 @@ def _falls(ranks):
     return [i for i in range(1, len(ranks)) if ranks[i - 1] > ranks[i]]
 
 
-def x_order(P, s):
-    """All pairs (k, x) with 0 <= k < s(x), ordered by (k/s(x), x)."""
-    return tuple(_pairs_by_ratio(validate_smap(P, s), 0))
-
-
 def _unpack(packed, bits):
     """The polynomial packed `bits` bits per coefficient into a nonnegative
     int.  Its last chunk is nonzero, so the coefficients are stripped ints
@@ -199,15 +194,11 @@ def eulerian_polynomial(P, s, max_steps=None):
 def refined_eulerian(P, s, max_steps=None):
     """Split the Eulerian polynomial by gamma = (r(pi_1), pi_1).
 
-    Returns a dict keyed by every gamma in x_order(P, s); values sum to
-    eulerian_polynomial(P, s).  Keys whose element is never first in a linear
-    extension carry the zero polynomial.  The family comes from the DP of
-    eulerian_polynomial run backward, as a suffix table: words are built
-    from the last letter to the first, an element after all its upper
-    covers, with the ranks reversed so that a descent is again a step to a
-    lower rank.  The descent at p is charged when a positive color opens
-    the reversed word, and the pair placed last, which is gamma, keys the
-    table.  Capped like eulerian_polynomial.
+    Returns a dict keyed by every pair (k, x) with 0 <= k < s(x), in the
+    order of _pairs_by_ratio(s, 0); values sum to eulerian_polynomial(P, s).
+    Keys whose element is never first in a linear extension carry the zero
+    polynomial.  The family is one row of _suffix_table, read back in the
+    order of the pairs.  Capped like eulerian_polynomial.
     """
     s = validate_smap(P, s)
     _check_dp(P, sum(s), max_steps)
@@ -215,9 +206,82 @@ def refined_eulerian(P, s, max_steps=None):
         return {}
     order = _pairs_by_ratio(s, 0)
     bits = (factorial(P.p) * prod(s)).bit_length()
+    row = _suffix_table(P, order, bits)[::-1]
+    return {g: _unpack(w, bits) for g, w in zip(order, row)}
+
+
+def _suffix_table(P, order, bits, rows=None):
+    """The DP of eulerian_polynomial run backward, from the last letter to
+    the first, an element after all its upper covers, with the ranks in
+    order reversed so that a descent is again a step to a lower rank.  The
+    descent at p is charged when a positive color opens the reversed word.
+    So the row of an up-set U holds the words over U by the reversed rank
+    of their first pair, top - j for the pair order[j]; rows collects the
+    row of every up-set (see _word_table).
+    """
     top = len(order) - 1
     pairs = [[] for _ in range(P.p + 1)]
     for j, (k, x) in enumerate(order):
         pairs[x].append((top - j, 1 << bits if k else 1))
-    row = _word_table(P, _cover_masks(P)[1], pairs, bits)
-    return {g: _unpack(row[top - j], bits) for j, g in enumerate(order)}
+    return _word_table(P, _cover_masks(P)[1], pairs, bits, rows=rows)
+
+
+def _parent_tables(P, rho):
+    """What _child_eulerian needs of P, s = rho + 1, for every child that
+    _sign_ranked_levels grows from (P, rho).
+
+    A linear extension of a child is a word over a down-set D of P, then
+    z, then a word over the up-set P - D.  So the tables are the rows F[D]
+    of eulerian_polynomial's DP (words over D by the rank of their last
+    pair, no end charge) and B[P - D] of _suffix_table's, per down-set D,
+    split at every rank i into the packed polynomials the step into and
+    out of z makes of them: F_lo + t F_hi and t B_lo + B_hi, lo summing
+    the ranks below i.  The empty prefix weighs 1; D = P goes last, with
+    no suffix.  z has s(z) = rho(z) + 1 <= p + 1 colors, so the bits hold
+    every coefficient of a child, at most (p + 1)! prod(s) (p + 1).
+    """
+    s = tuple(v + 1 for v in rho)
+    order = _pairs_by_ratio(s, 0)
+    bits = (factorial(P.p + 1) * prod(s) * (P.p + 1)).bit_length()
+    fwd, bwd = {}, {}
+    if P.p:
+        pairs = [[] for _ in range(P.p + 1)]
+        for j, (k, x) in enumerate(order):
+            pairs[x].append((j, 1))
+        _word_table(P, _cover_masks(P)[0], pairs, bits, rows=fwd)
+        _suffix_table(P, order, bits, rows=bwd)
+
+    def split(row, low):
+        lo = list(itertools.accumulate(row, initial=0))
+        return [(a << low) + (lo[-1] - a << bits - low) for a in lo]
+
+    full = (1 << P.p) - 1
+    joins = [(D, split(fwd[D], 0) if D else [1] * (len(order) + 1),
+              split(bwd[full ^ D][::-1], bits))
+             for D in (0, *fwd) if D != full]
+    last = split(fwd[full], 0) if P.p else [1]
+    return order, s, bits, joins, last
+
+
+def _child_eulerian(tables, ideal, l, v):
+    """eulerian_polynomial of the child of _parent_tables' poset whose z
+    has label l, s(z) = v colors and the down-set ideal (in the parent's
+    labels) below it: Stanley's fundamental lemma split at z.
+
+    With color c, z ranks after the i parent pairs of smaller ratio, or of
+    the same ratio and a smaller label (the l - 1 pairs (0, x), x < l,
+    when c = 0), and steps down from each later rank and to each earlier
+    one.  So z joins every down-set D that holds ideal as F_lo + t F_hi
+    times t B_lo + B_hi, split at i; with D = P the word ends in z,
+    charged a descent when c > 0.
+    """
+    order, s, bits, joins, last = tables
+    chosen = [(head, tail) for D, head, tail in joins if D & ideal == ideal]
+    total = 0
+    for c in range(v):
+        i = (sum((k * v, x) < (c * s[x - 1], l) for k, x in order) if c
+             else l - 1)
+        for head, tail in chosen:
+            total += head[i] * tail[i]
+        total += last[i] << bits if c else last[i]
+    return _unpack(total, bits)

@@ -12,13 +12,15 @@ from __future__ import annotations
 from itertools import zip_longest
 from math import prod
 
-from .colored import _pairs_by_ratio, eulerian_polynomial, refined_eulerian
+from .colored import (_child_eulerian, _pairs_by_ratio, _parent_tables,
+                      eulerian_polynomial, refined_eulerian)
 from .errors import InvalidInputError, ResourceLimitError
 from .polys import (Polynomial, compose_linear, gamma_vector, hstar_from_counts,
                     interpolate, is_palindromic)
-from .posets import (_cap, _check_dp, _cover_masks, linear_extensions,
+from .posets import (DEFAULT_DP_CAP, _cap, _check_dp, _check_enum,
+                     _cover_masks, _sign_ranked_levels, linear_extensions,
                      make_chain, ordinal_sum_of_antichains, sign_rank,
-                     sign_ranked_posets, validate_smap)
+                     validate_smap)
 from .reports import VerificationReport
 from .roots import interlacing_failure, is_real_rooted
 from .series import Series
@@ -492,10 +494,21 @@ def scan_gamma(pmax, max_steps=None):
 
 def _gamma_records(pmax, failures, max_steps=None):
     """Yield scan_gamma's records one at a time, appending each failing one
-    to its list in failures; the caps fire before the first record."""
-    for P, rho in sign_ranked_posets(pmax):
+    to its list in failures; the caps fire before the first record.
+
+    A is eulerian_polynomial(P, s), capped the same way (the cap is read
+    once), but joined from the tables of the parent P was grown from, built
+    once its first child passes the cap (the parent's DP is the smaller
+    one)."""
+    _check_enum(pmax)
+    max_steps = _cap(max_steps, "LHALL_MAX_DP", DEFAULT_DP_CAP)
+    tables = None
+    for P, rho, parent, ideal, l in _sign_ranked_levels(pmax):
         s = tuple(v + 1 for v in rho)
-        A = eulerian_polynomial(P, s, max_steps)
+        _check_dp(P, sum(s), max_steps)
+        if tables is None or tables[0] is not parent:
+            tables = parent, _parent_tables(*parent)
+        A = _child_eulerian(tables[1], ideal, l, s[l - 1])
         proven = set(rho) <= {0, 1}
         palindromic = is_palindromic(A, P.p - 1)
         gam = gamma_vector(A, P.p - 1) if palindromic else None

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 from operator import mul
 
@@ -121,6 +122,11 @@ class LabeledPoset:
                         f"({x}, {y}) is implied by other covers; pass cover pairs only")
         object.__setattr__(self, "_topo", tuple(topo))
         object.__setattr__(self, "_above", tuple(above))
+
+    @cached_property
+    def _topo(self):
+        """_toposort's order, for posets built without __post_init__."""
+        return tuple(_toposort(self.p, self.covers))
 
     def __repr__(self):
         return f"LabeledPoset({self.p}, {sorted(self.covers)})"
@@ -297,7 +303,7 @@ def count_linear_extensions(P, max_steps=None):
     return sum(_word_table(P, _cover_masks(P)[0], pairs, 0))
 
 
-def _word_table(P, need, pairs, bits, weight=None):
+def _word_table(P, need, pairs, bits, weight=None, rows=None):
     """Weights of the words that place every element of P, by last pair.
 
     A word lists each element once, each with one of its pairs; x may come
@@ -311,7 +317,8 @@ def _word_table(P, need, pairs, bits, weight=None):
     and its prefix sums split the weight of a new pair into the part from
     lower ranks (no step down) and the rest (times t).  A row multiplies in
     the weight of its last pair only when it is read, once per row rather
-    than once per step.
+    than once per step.  When given, the dict rows collects the rows of
+    every layer by down-set, without the weight of their last pair.
     """
     size = sum(len(v) for v in pairs)
     layer = {}
@@ -321,6 +328,8 @@ def _word_table(P, need, pairs, bits, weight=None):
             for j, first in pairs[x]:
                 row[j] += first
     for _ in range(P.p - 1):
+        if rows is not None:
+            rows.update(layer)
         nxt = {}
         for S, row in layer.items():
             if weight is not None:
@@ -339,6 +348,8 @@ def _word_table(P, need, pairs, bits, weight=None):
                     lo = lower[j]
                     target[j] += lo + ((total - lo) << bits)
         layer = nxt
+    if rows is not None:
+        rows.update(layer)
     (row,) = layer.values()
     if weight is not None:
         row = list(map(mul, row, weight))
@@ -402,13 +413,18 @@ def sign_ranked_posets(pmax, max_p=None):
     Refused before anything is yielded when pmax exceeds max_p, else
     LHALL_MAX_POSET_ENUM, else DEFAULT_POSET_ENUM_CAP.
     """
+    _check_enum(pmax, max_p)
+    return (child[:2] for child in _sign_ranked_levels(pmax))
+
+
+def _check_enum(pmax, max_p=None):
+    """sign_ranked_posets' checks of pmax and its cap."""
     if not isinstance(pmax, int) or isinstance(pmax, bool) or pmax < 0:
         raise InvalidInputError("pmax must be a nonnegative integer")
     limit = _cap(max_p, "LHALL_MAX_POSET_ENUM", DEFAULT_POSET_ENUM_CAP)
     if pmax > limit:
         raise ResourceLimitError(f"p = {pmax} exceeds the poset enumeration cap "
                                  f"{limit}; raise LHALL_MAX_POSET_ENUM")
-    return _sign_ranked_levels(pmax)
 
 
 def _sign_ranked_levels(pmax):
@@ -422,20 +438,21 @@ def _sign_ranked_levels(pmax):
     poset with label l, labels at or above l moving up by one (which keeps
     the sign of every cover), and kept only when it is the largest-labeled
     maximal element and every rho(a) + epsilon(a, z) over A agrees on a
-    value >= 0, which is rho(z); rho(z) = 0 when A is empty.  A state
-    holds the strictly-above masks, the cover pairs and rho, so no level
-    needs sign_rank; only the last level is never stored.  The states are
-    valid by construction, so each poset is built from its state without
-    the checks of LabeledPoset.
+    value >= 0, which is rho(z); rho(z) = 0 when A is empty.  Yields
+    (P, rho, parent, ideal, l): parent is the (P, rho) pair z was added to,
+    the same object for all its children, and ideal the bitmask of the
+    elements below z, in the parent's labels.  Only the last level is
+    never stored.  Each poset is valid by construction, so it is built
+    without the checks of LabeledPoset.
     """
-    level = [((), (), ())]
+    level = [(_trusted_poset(0, (), ()), ())]
     for n in range(pmax):
         nxt = []
-        for up, covers, rho in level:
-            for child in _augmentations(n, up, covers, rho):
+        for parent in level:
+            for P, rho, ideal, l in _augmentations(*parent):
                 if n + 1 < pmax:
-                    nxt.append(child)
-                yield _trusted_poset(n + 1, child[0], child[1]), child[2]
+                    nxt.append((P, rho))
+                yield P, rho, parent, ideal, l
         level = nxt
 
 
@@ -444,19 +461,19 @@ def _trusted_poset(p, up, covers):
     (up[x - 1] for element x), which must be valid: nothing is checked.
 
     For posets valid by construction, those of _sign_ranked_levels and of
-    ordinal_sum_of_antichains.  _topo still comes from _toposort, so it is
-    the order LabeledPoset would store.
+    ordinal_sum_of_antichains.  _topo is left to its first read, which
+    takes it from _toposort, the order LabeledPoset would store.
     """
     P = object.__new__(LabeledPoset)
     object.__setattr__(P, "p", p)
     object.__setattr__(P, "covers", frozenset(covers))
-    object.__setattr__(P, "_topo", tuple(_toposort(p, covers)))
     object.__setattr__(P, "_above", (0, *up))
     return P
 
 
-def _augmentations(n, up, covers, rho):
-    """The canonical children of one state on n elements, as states."""
+def _augmentations(P, rho):
+    """The canonical children of P, as (child, rho, ideal, l)."""
+    n, up = P.p, P._above[1:]
     down = [0] * n
     for x in range(n):
         for y in _bits(up[x]):
@@ -483,10 +500,10 @@ def _augmentations(n, up, covers, rho):
             for x in _bits(ideal):
                 new_up[x - 1] |= z
             new_up.insert(l - 1, 0)
-            new_covers = [(x + (x >= l), y + (y >= l)) for x, y in covers]
+            new_covers = [(x + (x >= l), y + (y >= l)) for x, y in P.covers]
             new_covers += [(a + (a >= l), l) for a in elems]
-            yield (tuple(new_up), tuple(new_covers),
-                   rho[:l - 1] + (r,) + rho[l - 1:])
+            yield (_trusted_poset(n + 1, new_up, new_covers),
+                   rho[:l - 1] + (r,) + rho[l - 1:], ideal, l)
 
 
 def poset_to_document(P):

@@ -288,10 +288,14 @@ def interlacing_failure(polys):
 
     Only when a test of that chain fails or raises are all pairs scanned,
     (i, j) before (i', j') when j < j', or j = j' and i < i', so the pair
-    returned, or the error raised, is the first one in that order.
+    returned, or the error raised, is the first one in that order.  A lone
+    nonzero member, in no pair, is tested against itself, so that it too
+    raises unless it is real-rooted with a positive leading coefficient.
     """
     keys = [_canonical(f) for f in polys]
     chain = [c for c in keys if c]
+    if len(chain) == 1:
+        _interleaves(chain[0], chain[0])
     try:
         if (all(map(_interleaves, chain, chain[1:]))
                 and (len(chain) < 3 or _interleaves(chain[0], chain[-1]))):

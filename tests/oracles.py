@@ -13,7 +13,7 @@ levels recomputed from their definitions, and their extension
 sides from one colored extension at a time, both in full rather than times
 1 - t, and their reports from comparing those sides.  The helpers only
 tests use live here too: corpus lookup by name, posets from arbitrary
-relations, and the strict order.
+relations, the strict order, and the order of the pairs (k, x).
 """
 
 from collections import Counter
@@ -133,6 +133,13 @@ def eulerian_by_extensions(P, s):
     for _, _, d in _colored_words(P, s):
         hist[d] += 1
     return hist
+
+
+def x_order(P, s):
+    """All pairs (k, x) with 0 <= k < s(x), ordered by (k/s(x), x) on
+    Fractions: the key order of refined_eulerian."""
+    return tuple(sorted(((k, x) for x in P.elements for k in range(s[x - 1])),
+                        key=lambda g: (Fraction(g[0], s[g[1] - 1]), g[1])))
 
 
 def refined_by_extensions(P, s, order):

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line front end via cli.main."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lhall import cli, lattice
-from lhall.colored import eulerian_polynomial
+from lhall.colored import _child_eulerian
 
 
 def run(capsys, *argv):
@@ -310,14 +311,31 @@ def test_scan_gamma_prints_each_record_as_it_is_built(capsys, monkeypatch):
         calls.append(args)
         if len(calls) > 1:
             raise ZeroDivisionError("second poset")
-        return eulerian_polynomial(*args, **kwargs)
+        return _child_eulerian(*args, **kwargs)
 
-    monkeypatch.setattr(lattice, "eulerian_polynomial", eulerian_once)
+    monkeypatch.setattr(lattice, "_child_eulerian", eulerian_once)
     code, out, err = run(capsys, "scan-gamma", "--pmax", "2")
     assert code == 3
     assert err == "error: unexpected ZeroDivisionError: second poset\n"
     lines = out.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["p"] == 1
+
+
+def test_scan_gamma_output_is_pinned(capsys, monkeypatch):
+    # byte for byte: the records of p <= 5 and the summary line
+    code, out, err = run(capsys, "scan-gamma", "--pmax", "5")
+    assert (code, err, out.count("\n")) == (0, "", 877)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "69b6d3181fb0828c70c41ae6145d052dd5c0a753d9e6a63caaa96a30b5e2e01c")
+    # the DP cap of each record fires at the first poset past it, whose
+    # records are already out
+    monkeypatch.setenv("LHALL_MAX_DP", "100")
+    code, capped, err = run(capsys, "scan-gamma", "--pmax", "5")
+    assert_unusable_input(code, err)
+    assert "160 transitions (at most 32 down-sets x 5 steps)" in err
+    lines = capped.splitlines()
+    assert len(lines) == 80 and out.startswith(capped)
+    assert all("eulerian" in json.loads(line) for line in lines)
 
 
 def test_scan_gamma_cap_fires_before_the_first_record(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Colored linear extensions, descent sets and their statistics."""
 
+import random
 from math import factorial
 
 import pytest
@@ -9,11 +10,12 @@ from lhall import (ColoredPermutation, InvalidInputError, Polynomial,
                    ResourceLimitError, colored_extensions,
                    count_linear_extensions, descent_profile,
                    eulerian_polynomial, make_antichain, make_chain,
-                   refined_eulerian, statistics, verify_identity, x_order)
-from lhall.colored import _descent_polynomial
+                   refined_eulerian, statistics, verify_identity)
+from lhall.colored import _child_eulerian, _descent_polynomial, _parent_tables
+from lhall.posets import _augmentations, _sign_ranked_levels
 from oracles import (_colored_words, classical_eulerian, colored_perms,
                      descent_sets_frac, eulerian_by_extensions, posets,
-                     refined_by_extensions, smaps_within)
+                     refined_by_extensions, smaps_within, x_order)
 
 # colored extensions the brute-force oracles may walk per example
 ORACLE_BUDGET = 6_000
@@ -218,3 +220,27 @@ def test_refined_eulerian_buckets():
     for poly in refined.values():
         total = total + poly
     assert total == eulerian_polynomial(P, s)
+
+
+def _joined_like_the_dp(parent, children):
+    tables = _parent_tables(*parent)
+    for P, rho, ideal, l in children:
+        s = tuple(v + 1 for v in rho)
+        assert (_child_eulerian(tables, ideal, l, s[l - 1])
+                == eulerian_polynomial(P, s)), (P, rho)
+    return len(children)
+
+
+def test_child_eulerian_matches_the_dp():
+    # every sign-ranked poset on p <= 6 points, joined from its parent's
+    # tables at the added element, and the children of 200 of the p = 6
+    families = {}
+    for P, rho, parent, ideal, l in _sign_ranked_levels(6):
+        families.setdefault(id(parent), (parent, []))[1].append(
+            (P, rho, ideal, l))
+    assert sum(_joined_like_the_dp(parent, children)
+               for parent, children in families.values()) == 14_320
+    sixes = [(P, rho) for _, children in families.values()
+             for P, rho, _, _ in children if P.p == 6]
+    for parent in random.Random(7).sample(sixes, 200):
+        _joined_like_the_dp(parent, list(_augmentations(*parent)))

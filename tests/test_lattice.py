@@ -379,12 +379,17 @@ def test_verify_ordinal_interlacing_failures(monkeypatch):
     assert report.reason == ("refined family does not sum to the Eulerian "
                              "polynomial")
 
-    # one nonzero member is interlacing on its own, real-rooted or not
+    # a lone nonzero member is checked like a tested one; past a family
+    # certified interlacing, the sum is still checked for real roots
     monkeypatch.undo()
     bad = Polynomial((1, 1, 1))
     _spoiled_family(monkeypatch, [Polynomial(()), bad, Polynomial(())])
     monkeypatch.setattr(lattice, "eulerian_polynomial",
                         lambda P, s, max_steps=None: bad)
+    report = verify_ordinal_interlacing((1,), (3,))
+    assert report.failed
+    assert report.reason == "interleaving needs real-rooted polynomials"
+    monkeypatch.setattr(lattice, "interlacing_failure", lambda family: None)
     report = verify_ordinal_interlacing((1,), (3,))
     assert report.failed
     assert report.reason == "Eulerian polynomial is not real-rooted"

@@ -119,6 +119,24 @@ def test_ordinal_sum_of_antichains_equals_validated_construction():
     assert count == 512                     # () and 511 compositions
 
 
+def test_trusted_posets_read_like_validated_ones():
+    # the posets of the scan and of stacked antichains skip LabeledPoset's
+    # checks and compute _topo on its first read, before or after any other
+    trusted = [P for P, _ in sign_ranked_posets(6)]
+    trusted += [ordinal_sum_of_antichains(sizes)
+                for p in range(8) for sizes in _compositions(p)]
+    for k, P in enumerate(trusted):
+        assert "_topo" not in vars(P)
+        Q = LabeledPoset(P.p, P.covers)
+        if k % 2:
+            assert _chain_bound(P) == _chain_bound(Q)
+        assert (P, hash(P), P._topo, P._above) == (Q, hash(Q), Q._topo,
+                                                   Q._above)
+        assert (_chain_bound(P), sign_rank(P)) == (_chain_bound(Q),
+                                                   sign_rank(Q))
+    assert len(trusted) == 14_320 + 128
+
+
 def test_linear_extensions_enumeration():
     assert list(linear_extensions(make_chain((2, 1, 3)))) == [(2, 1, 3)]
     exts = list(linear_extensions(make_antichain(3)))

@@ -216,20 +216,29 @@ def _oracle_failure(family):
     """interlacing_failure by the definition: the pairs in order (0, 1),
     (0, 2), (1, 2), (0, 3), ..., each zero member passing, else each member
     needing a positive leading coefficient and then real roots, checked on
-    sympy's roots; returns the first failing pair, None, or the message of
-    the first error."""
+    sympy's roots; a lone nonzero member is checked the same way.  Returns
+    the first failing pair, None, or the message of the first error."""
     members = [Polynomial(tuple(f)) if not isinstance(f, Polynomial) else f
                for f in family]
     roots = [None if f.is_zero() else _descending_roots(f) for f in members]
+
+    def untestable(k):
+        if members[k].coeffs[-1] < 0:
+            return "interleaving needs positive leading coefficients"
+        if len(roots[k]) != members[k].degree:
+            return "interleaving needs real-rooted polynomials"
+        return None
+
+    nonzero = [k for k, r in enumerate(roots) if r is not None]
+    if len(nonzero) == 1:
+        return untestable(nonzero[0])
     for j in range(len(members)):
         for i in range(j):
             if roots[i] is None or roots[j] is None:
                 continue
             for k in (i, j):
-                if members[k].coeffs[-1] < 0:
-                    return "interleaving needs positive leading coefficients"
-                if len(roots[k]) != members[k].degree:
-                    return "interleaving needs real-rooted polynomials"
+                if untestable(k):
+                    return untestable(k)
             if not _roots_interleave(roots[i], roots[j]):
                 return (i, j)
     return None
@@ -282,7 +291,24 @@ def test_interlacing_chain_checks_the_ends():
     assert interlacing_failure([f1, Polynomial(()), f2, f3]) == (0, 3)
     assert interlacing_failure([f1, (0,), f2.coeffs, f3]) == (0, 3)
     assert interlacing_failure([(0,), f1]) is None
-    assert interlacing_failure([Polynomial((1, 0, 1)), (0,)]) is None
+    with pytest.raises(InvalidInputError, match="real-rooted"):
+        interlacing_failure([Polynomial((1, 0, 1)), (0,)])
+
+
+def test_a_lone_nonzero_member_is_checked_as_a_pair_would_check_it():
+    # no pair tests it, so it raises what a pair with a good member raises,
+    # whatever zero members stand around it; a good one is interlacing
+    bad = ((Polynomial((1, 1, 1)), "real-rooted"),
+           (Polynomial((-1, -1)), "positive leading"),
+           ((-2,), "positive leading"))
+    for f, message in bad:
+        for family in ([f, Polynomial(())], [(0,), f, (0, 0)], [f],
+                       [f, Polynomial((1,))]):
+            with pytest.raises(InvalidInputError, match=message):
+                interlacing_failure(family)
+    for f in (Polynomial((1,)), Polynomial((2, 3, 1)), (0, 1)):
+        assert interlacing_failure([Polynomial(()), f]) is None
+        assert interlacing_failure([f]) is None
 
 
 def test_interlacing_family_costs_one_test_per_nonzero_member(monkeypatch):
