@@ -327,8 +327,8 @@ def test_scan_gamma_output_is_pinned(capsys, monkeypatch):
     assert (code, err, out.count("\n")) == (0, "", 877)
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "69b6d3181fb0828c70c41ae6145d052dd5c0a753d9e6a63caaa96a30b5e2e01c")
-    # the DP cap of each record fires at the first poset past it, whose
-    # records are already out
+    # the DP cap is checked per record, so the records before the first
+    # poset past it are already out when it fires
     monkeypatch.setenv("LHALL_MAX_DP", "100")
     code, capped, err = run(capsys, "scan-gamma", "--pmax", "5")
     assert_unusable_input(code, err)
