@@ -119,14 +119,16 @@ def _flat(prefix, value, rows):
 
 
 def _emit(payload, fmt="json"):
+    """Write payload as one document in one call, so an unbuffered stdout
+    gets one write per document."""
     if fmt == "json":
-        print(_dumps(payload))
+        sys.stdout.write(_dumps(payload) + "\n")
         return
     rows = []
     _flat("", jsonable(payload), rows)
     sep = ": " if fmt == "text" else "\t"
-    for key, rendered in rows:
-        print(f"{key}{sep}{rendered}")
+    sys.stdout.write("".join(f"{key}{sep}{rendered}\n"
+                             for key, rendered in rows))
 
 
 def _parse_caps(text):

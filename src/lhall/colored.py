@@ -11,42 +11,38 @@ on floats, and a step of a word descends exactly when the rank falls.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import factorial, lcm, prod
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _Frozen
 from .polys import Polynomial, _trusted_polynomial
 from .posets import (_check_dp, _check_walk, _cover_masks, _walk_extensions,
                      _word_table, validate_smap)
 
 
-@dataclass(frozen=True)
-class ColoredPermutation:
+class ColoredPermutation(_Frozen):
     """A permutation with one color per element.
 
     colors is indexed by element, so colors[x - 1] is the color of element x,
     not of position x.
     """
 
-    pi: tuple
-    colors: tuple
+    __match_args__ = ("pi", "colors")
 
-    def __post_init__(self):
-        object.__setattr__(self, "pi", tuple(self.pi))
-        object.__setattr__(self, "colors", tuple(self.colors))
-        p = len(self.pi)
-        if sorted(self.pi) != list(range(1, p + 1)):
+    def __init__(self, pi, colors):
+        pi, colors = tuple(pi), tuple(colors)
+        p = len(pi)
+        if sorted(pi) != list(range(1, p + 1)):
             raise InvalidInputError("pi must be a permutation of 1..p")
-        if len(self.colors) != p:
+        if len(colors) != p:
             raise InvalidInputError("need exactly one color per element")
-        for r in self.colors:
+        for r in colors:
             if not isinstance(r, int) or isinstance(r, bool) or r < 0:
                 raise InvalidInputError(f"color {r!r} is not a nonnegative "
                                         "integer")
+        vars(self).update(pi=pi, colors=colors)
 
 
-@dataclass(frozen=True)
-class DescentProfile:
+class DescentProfile(_Frozen):
     """The five descent sets of a colored permutation.
 
     Positions are 1-based: i in d1 means the step from position i to i + 1
@@ -57,11 +53,10 @@ class DescentProfile:
     colors r + 1.
     """
 
-    d1: frozenset
-    d2: frozenset
-    d3: frozenset
-    d4: frozenset
-    d: frozenset
+    __match_args__ = ("d1", "d2", "d3", "d4", "d")
+
+    def __init__(self, d1, d2, d3, d4, d):
+        vars(self).update(d1=d1, d2=d2, d3=d3, d4=d4, d=d)
 
 
 def descent_profile(tau, s):

@@ -10,11 +10,11 @@ degree -1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
-from .errors import InvalidInputError, InternalCheckError, NotPolynomialError
+from .errors import (InvalidInputError, InternalCheckError, NotPolynomialError,
+                     _Frozen)
 
 
 def _to_fraction(c):
@@ -34,12 +34,11 @@ def _exact(c):
     return c.numerator if c.denominator == 1 else c
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    coeffs: tuple = ()
+class Polynomial(_Frozen):
+    __match_args__ = ("coeffs",)
 
-    def __post_init__(self):
-        cs = [_exact(c) for c in self.coeffs]
+    def __init__(self, coeffs=()):
+        cs = [_exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 from operator import mul
 
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError, ResourceLimitError, _Frozen
 
 DEFAULT_COLORED_CAP = 5_000_000
 DEFAULT_DP_CAP = 4_000_000
@@ -78,8 +77,7 @@ def _above_masks(p, covers, topo):
     return above
 
 
-@dataclass(frozen=True)
-class LabeledPoset:
+class LabeledPoset(_Frozen):
     """Partial order on {1, ..., p}, stored by its cover pairs.
 
     ``covers`` holds pairs (x, y) meaning x -< y: x strictly below y with
@@ -88,14 +86,13 @@ class LabeledPoset:
     posets always compare equal.
     """
 
-    p: int
-    covers: frozenset = frozenset()
+    __match_args__ = ("p", "covers")
 
-    def __post_init__(self):
-        if not isinstance(self.p, int) or isinstance(self.p, bool) or self.p < 0:
+    def __init__(self, p, covers=frozenset()):
+        if not isinstance(p, int) or isinstance(p, bool) or p < 0:
             raise InvalidInputError("p must be a nonnegative integer")
         pairs = set()
-        for pair in self.covers:
+        for pair in covers:
             try:
                 x, y = pair
             except (TypeError, ValueError):
@@ -103,16 +100,17 @@ class LabeledPoset:
             for v in (x, y):
                 if not isinstance(v, int) or isinstance(v, bool):
                     raise InvalidInputError(f"cover {pair!r} must contain integers")
-            if not (1 <= x <= self.p and 1 <= y <= self.p):
+            if not (1 <= x <= p and 1 <= y <= p):
                 raise InvalidInputError(
-                    f"cover ({x}, {y}) falls outside {{1, ..., {self.p}}}")
+                    f"cover ({x}, {y}) falls outside {{1, ..., {p}}}")
             if x == y:
                 raise InvalidInputError(f"cover ({x}, {y}) is reflexive")
             pairs.add((x, y))
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "covers", frozenset(pairs))
-        topo = _toposort(self.p, pairs)
-        above = _above_masks(self.p, pairs, topo)
-        succ = [[] for _ in range(self.p + 1)]
+        topo = _toposort(p, pairs)
+        above = _above_masks(p, pairs, topo)
+        succ = [[] for _ in range(p + 1)]
         for x, y in pairs:
             succ[x].append(y)
         for x, y in pairs:
@@ -125,7 +123,7 @@ class LabeledPoset:
 
     @cached_property
     def _topo(self):
-        """_toposort's order, for posets built without __post_init__."""
+        """_toposort's order, for posets built without __init__."""
         return tuple(_toposort(self.p, self.covers))
 
     def __repr__(self):
@@ -356,8 +354,7 @@ def _word_table(P, need, pairs, bits, weight=None, rows=None):
     return row
 
 
-@dataclass(frozen=True)
-class RankInfo:
+class RankInfo(_Frozen):
     """Outcome of the rank computation.
 
     ranked   -- the cover constraints rho(y) - rho(x) = epsilon(x, y), with
@@ -368,11 +365,11 @@ class RankInfo:
     conflict -- two covers forcing different values when not ranked, else None
     """
 
-    ranked: bool
-    rho: tuple | None
-    graded: bool
-    rank: int | None
-    conflict: tuple | None
+    __match_args__ = ("ranked", "rho", "graded", "rank", "conflict")
+
+    def __init__(self, ranked, rho, graded, rank, conflict):
+        vars(self).update(ranked=ranked, rho=rho, graded=graded, rank=rank,
+                          conflict=conflict)
 
 
 def sign_rank(P):

@@ -9,10 +9,12 @@ polynomials become coefficient lists, constant term first.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .errors import _Record
 from .polys import Polynomial
+
+_FRESH = object()  # the default of caps and details: a new empty dict
 
 
 def _encode(v):
@@ -34,8 +36,7 @@ def jsonable(v):
     return json.loads(_dumps(v))
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(_Record):
     """Outcome of one verification run.
 
     status is "pass", "fail" or "skip"; compared counts the monomials or
@@ -43,13 +44,18 @@ class VerificationReport:
     reason explains skips and failures in one line.
     """
 
-    identity: str
-    status: str
-    caps: dict = field(default_factory=dict)
-    compared: int = 0
-    witness: dict | None = None
-    reason: str = ""
-    details: dict = field(default_factory=dict)
+    __match_args__ = ("identity", "status", "caps", "compared", "witness",
+                      "reason", "details")
+
+    def __init__(self, identity, status, caps=_FRESH, compared=0, witness=None,
+                 reason="", details=_FRESH):
+        self.identity = identity
+        self.status = status
+        self.caps = {} if caps is _FRESH else caps
+        self.compared = compared
+        self.witness = witness
+        self.reason = reason
+        self.details = {} if details is _FRESH else details
 
     @property
     def passed(self):
