@@ -1,6 +1,8 @@
 """Exception types shared across the package, and the bases of its record
 classes."""
 
+from operator import attrgetter
+
 
 class LhallError(Exception):
     """Base class for all package errors."""
@@ -32,12 +34,10 @@ class _Record:
 
     __match_args__ = ()
 
-    def _key(self):
-        return tuple([getattr(self, name) for name in self.__match_args__])
-
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._key() == other._key()
+            fields = attrgetter(*self.__match_args__)
+            return fields(self) == fields(other)
         return NotImplemented
 
     def __repr__(self):
@@ -51,7 +51,8 @@ class _Frozen(_Record):
     __init__ stores them past __setattr__."""
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(tuple([getattr(self, name)
+                           for name in self.__match_args__]))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
