@@ -17,7 +17,7 @@ positions j..p of pi, with z_{p+1} = 1.  The side is
 where the identity fixes the letter, the color weight and the rule for
 the descent set D and the extra power e.  D is read as the down-set DP of
 colored reads it: rank the pairs (r(x) + shift, x) by _pairs_by_ratio, and
-a step of pi descends exactly when the rank falls.
+a step of pi descends exactly when the rank falls, in a transfer along pi.
 
 Every lattice side is one call of lattice._region_sum, graded exactly when
 the context has a variable t.  A graded identity is compared after
@@ -26,23 +26,28 @@ agree in the window exactly when these forms do.  The lattice side then
 holds each point once, at t to its entry level, strict for R2 and weak for
 the others; the staircase denominator keeps 1 - w_i for i < p only,
 w_p = t.  An ungraded side drops t, so w_p = 1 and the same denominator
-serves.  _series_report rebuilds the report of the sides themselves.
+serves.
+
+The extension side is subtracted from the lattice side in place, and a
+check passes when every residual coefficient is zero.  A failure rebuilds
+the extension side, and the lattice side as the residual plus it, for
+_series_report, which reports on the sides themselves.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from functools import partial
 from math import prod
 
-from .colored import _descent_polynomial, _falls, _ranks
+from .colored import _descent_polynomial, _ranks
 from .errors import InvalidInputError
 from .lattice import _region_sum, verify_recipr
 from .polys import Polynomial, monomial
 from .posets import (_check_walk, _walk_extensions, make_antichain, sign_rank,
                      validate_smap)
 from .reports import VerificationReport
-from .series import Series, SeriesContext, first_mismatch
+from .series import SeriesContext, first_mismatch
 
 DEFAULT_CAPX = 3
 DEFAULT_CAPT = 5
@@ -117,6 +122,22 @@ def _series_report(name, caps, lhs, rhs, details=None):
         reason="series sides disagree at the stated monomial")
 
 
+def _cancel_report(name, caps, lhs, side, details=None):
+    """The report on lhs = the extension side, both times 1 - t when graded:
+    side(terms) subtracts the extension side from the dict terms, lhs's own,
+    and returns the number of extensions; a failure rebuilds both sides."""
+    compared = _graded_size(lhs) if "t" in lhs.ctx.index else len(lhs.terms)
+    details = {"extensions": side(lhs.terms), **(details or {})}
+    if compared and not any(lhs.terms.values()):
+        return VerificationReport(name, "pass", caps=caps, compared=compared,
+                                  details=details)
+    rhs = lhs.ctx.zero()
+    if lhs.terms:
+        side(rhs.terms)
+        rhs = lhs.ctx.zero() - rhs
+    return _series_report(name, caps, rhs + lhs, rhs, details)
+
+
 # ---------------------------------------------------------------------------
 # lattice point sides
 
@@ -166,8 +187,9 @@ def _lhs_independent_products(ctx, P, factor_terms, capt):
 # colored extension sides
 
 
-def _staircase_side(ctx, P, s, max_count, row, letter, color):
-    """The staircase form of the module docstring, summed over (P, s).
+def _staircase_side(ctx, P, s, max_count, row, letter, color, into):
+    """Subtract the staircase form of the module docstring, summed over
+    (P, s), from the dict into, and return the number of extensions summed.
 
     letter(x) and color(x, r) give exponent dicts, and row = (shift, start,
     end, extra, reverse) gives (D, e) in the terms of _descent_polynomial:
@@ -178,58 +200,63 @@ def _staircase_side(ctx, P, s, max_count, row, letter, color):
     graded exactly when ctx has a variable t.  With w_i = z_{i+1} t
     (graded) or z_{i+1} (not graded), a descent at i contributes w_i, and
     the denominator is the product of 1 - w_i over i < p: w_p is 1 when not
-    graded, and t when graded, where the side is returned times 1 - t.
-    Extensions whose pi gives the same staircase (w_0, ..., w_p) share one
-    numerator, which is divided by each 1 - w_i in turn.  Returns the
-    series and the number of extensions summed.
+    graded, and t when graded, where the side is taken times 1 - t.
+
+    A transfer along pi over the rank of the last pair builds its numerator,
+    shared by the pi of one staircase (w_0, ..., w_p) and divided by each
+    1 - w_i in turn, the last time into into.
     """
     shift, start, end, extra, reverse = row
     colorings = prod(s)
     _check_walk(P, colorings, max_count)
-    graded = "t" in ctx.index
-    key_of, key_product = ctx.key_of, ctx.key_product
+    key_product, bias, guard = ctx.key_product, ctx._bias, ctx._guard
     rank, sign = _ranks(s, shift), -1 if reverse else 1
     cells = {x: [sign * rank[r + shift, x] for r in range(v)]
              for x, v in zip(P.elements, s)}
-    letters = {x: key_of(letter(x)) for x in P.elements}
-    paint = {x: [key_of(color(x, r)) for r in range(v)]
+    letters = {x: ctx.key_of(letter(x)) for x in P.elements}
+    paint = {x: [ctx.key_of(color(x, r)) for r in range(v)]
              for x, v in zip(P.elements, s)}
-    w_p = key_of({"t": 1}) if graded else 0
+    w_p = ctx.key_of({"t": 1}) if "t" in ctx.index else 0
     base = w_p if extra else 0
-    sides = {}
-    extensions = 0
+    # rows with start or end rank (r, x), so the pairs (0, x) rank below p:
+    # 0 is in D when rank p falls to position 1, p when p falls to rank p - 1
+    first = P.p if start else -len(rank)
+    sides, extensions = {}, 0
     for pi in _walk_extensions(P):
+        extensions += colorings
         # stair[i] = w_i: from w_p, multiply in the letters right to left
         stair = [w_p]
         for x in reversed(pi):
             stair.append(key_product((stair[-1], letters[x])))
         stair = tuple(reversed(stair))
         num = sides.setdefault(stair, {})
-        # per position, the ranks and the color keys of its pairs; the
-        # descents at 0 and p hang on the first and last colors alone
-        paints = [paint[x] for x in pi]
-        if start and pi:
-            first = paints[0]
-            paints[0] = [key_product((first[0], stair[0])), *first[1:]]
+        pairs = [(cells[x], paint[x]) for x in pi]
         if end and pi:
-            last = paints[-1]
-            paints[-1] = [last[0], *[key_product((k, stair[-1]))
-                                     for k in last[1:]]]
-        for word, keys in zip(product(*map(cells.get, pi)),
-                              product(*paints)):
-            key = key_product((base, *keys,
-                               *[stair[i] for i in _falls(word)]))
-            if key is not None:
-                num[key] = num.get(key, 0) + 1
-        extensions += colorings
-    total = ctx.zero()
+            pairs.append(([P.p - 1], [0]))
+        layer = {} if base is None else {first: {base: 1}}
+        for i, (ranks, keys) in enumerate(pairs):
+            nxt = {}
+            for cell, key in zip(ranks, keys):
+                fall = key_product((key, stair[i]))
+                for prev, sums in layer.items():
+                    step = fall if prev > cell else key
+                    if step is not None:
+                        out = nxt.setdefault(cell, {})
+                        for k, c in sums.items():
+                            k += step
+                            if not (k + bias) & guard:
+                                out[k] = out.get(k, 0) + c
+            layer = nxt
+        for sums in layer.values():
+            for k, c in sums.items():
+                num[k] = num.get(k, 0) + c
     for stair, num in sides.items():
-        side = Series(ctx, num)
-        for w in stair[:-1]:
-            side = side._over_one_minus(w)
-        for key, c in side.terms.items():
-            total._add_term(key, c)
-    return total, extensions
+        divisors = stair[:-1] or (None,)  # p = 0 divides by nothing
+        for w in divisors[:-1]:
+            num, side = {}, num
+            ctx._spread(side, w, num)
+        ctx._spread(num, divisors[-1], into, -1)
+    return extensions
 
 
 def _x_letter(x):
@@ -260,14 +287,14 @@ _XY_ROWS = {
 
 def _rhs_xy(ctx, P, s, kind, max_count):
     row, shift = _XY_ROWS[kind]
-    return _staircase_side(ctx, P, s, max_count, row, _x_letter,
-                           lambda x, r: {f"y{x}": r + shift})
+    return partial(_staircase_side, ctx, P, s, max_count, row, _x_letter,
+                   lambda x, r: {f"y{x}": r + shift})
 
 
 def _rhs_uq(ctx, P, s, max_count):
     """q^|r| u^comaj t^des over the staircase of u^p t, ..., u t, t."""
-    return _staircase_side(ctx, P, s, max_count, _D, lambda x: {"u": 1},
-                           _q_color)
+    return partial(_staircase_side, ctx, P, s, max_count, _D,
+                   lambda x: {"u": 1}, _q_color)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +308,8 @@ def _verify_xy(kind, positive, primed):
                           [(capx + 1) * v - 1 + primed for v in s],
                           _digits(s, primed, P.elements),
                           max_points=max_points, max_steps=max_steps)
-        rhs, ext = _rhs_xy(ctx, P, s, kind, max_count)
-        return _series_report(kind, {"x": capx}, lhs, rhs, {"extensions": ext})
+        return _cancel_report(kind, {"x": capx}, lhs,
+                              _rhs_xy(ctx, P, s, kind, max_count))
 
     return run
 
@@ -301,9 +328,9 @@ def _verify_RECI(P, s, capx, capt, max_points, max_count, max_steps):
                       [(capx + 1) * v for v in sd],
                       _digits(sd, True, P.elements[::-1]),
                       max_points=max_points, max_steps=max_steps)
-    rhs, ext = _staircase_side(ctx, P, s, max_count, _RISES, _x_letter,
-                               lambda x, r: {f"y{x}": s[x - 1] - r})
-    return _series_report("RECI", {"x": capx}, lhs, rhs, {"extensions": ext})
+    rhs = partial(_staircase_side, ctx, P, s, max_count, _RISES, _x_letter,
+                  lambda x, r: {f"y{x}": s[x - 1] - r})
+    return _cancel_report("RECI", {"x": capx}, lhs, rhs)
 
 
 def _verify_R(kind):
@@ -320,9 +347,8 @@ def _verify_R(kind):
                           [capt * v - strict for v in s],
                           _digits(s, primed, P.elements), strict=strict,
                           max_points=max_points, max_steps=max_steps)
-        rhs, ext = _rhs_xy(ctx, P, s, kind, max_count)
-        return _series_report(kind, {"x": capx, "t": capt}, lhs, rhs,
-                              {"extensions": ext})
+        return _cancel_report(kind, {"x": capx, "t": capt}, lhs,
+                              _rhs_xy(ctx, P, s, kind, max_count))
 
     return run
 
@@ -345,9 +371,8 @@ def _verify_COR6(P, s, capx, capt, max_points, max_count, max_steps):
         return terms
 
     lhs = _lhs_independent_products(ctx, P, factor_terms, capt)
-    rhs, ext = _rhs_xy(ctx, P, s, "R1", max_count)
-    return _series_report("COR6", {"x": capx, "t": capt}, lhs, rhs,
-                          {"extensions": ext})
+    return _cancel_report("COR6", {"x": capx, "t": capt}, lhs,
+                          _rhs_xy(ctx, P, s, "R1", max_count))
 
 
 def _verify_EUL2(P, s, capx, capt, max_points, max_count, max_steps):
@@ -401,8 +426,7 @@ def _verify_UQ(P, s, capx, capt, max_points, max_count, max_steps):
     lhs = _region_sum(ctx, P, s, [0] * P.p, [capt * v for v in s],
                       lambda j, v: dict(zip("uq", divmod(v, s[j]))),
                       max_points=max_points, max_steps=max_steps)
-    rhs, ext = _rhs_uq(ctx, P, s, max_count)
-    return _series_report("UQ", caps, lhs, rhs, {"extensions": ext})
+    return _cancel_report("UQ", caps, lhs, _rhs_uq(ctx, P, s, max_count))
 
 
 def _verify_LHP(P, s, capx, capt, max_points, max_count, max_steps):
@@ -417,9 +441,9 @@ def _verify_LHP(P, s, capx, capt, max_points, max_count, max_steps):
     lhs = _region_sum(ctx, P, s, [0] * P.p, [capt * v for v in s],
                       lambda j, v: {"q": v},
                       max_points=max_points, max_steps=max_steps)
-    rhs, ext = _staircase_side(ctx, P, s, max_count, _D,
-                               lambda x: {"q": s[x - 1]}, _q_color)
-    return _series_report("LHP", caps, lhs, rhs, {"extensions": ext})
+    rhs = partial(_staircase_side, ctx, P, s, max_count, _D,
+                  lambda x: {"q": s[x - 1]}, _q_color)
+    return _cancel_report("LHP", caps, lhs, rhs)
 
 
 def _verify_QV(P, s, capx, capt, max_points, max_count, max_steps):
@@ -437,8 +461,7 @@ def _verify_QV(P, s, capx, capt, max_points, max_count, max_steps):
         return terms
 
     lhs = _lhs_independent_products(ctx, P, factor_terms, capt)
-    rhs, ext = _rhs_uq(ctx, P, s, max_count)
-    return _series_report("QV", caps, lhs, rhs, {"extensions": ext})
+    return _cancel_report("QV", caps, lhs, _rhs_uq(ctx, P, s, max_count))
 
 
 def _constant_antichain(P, s, name):
@@ -464,9 +487,9 @@ def _verify_KN1(P, s, capx, capt, max_points, max_count, max_steps):
     ctx = SeriesContext(caps)
     lhs = _lhs_independent_products(
         ctx, P, lambda x, n: _bracket_terms("q", k * n + 1), capt)
-    rhs, ext = _staircase_side(ctx, P, s, max_count, _D,
-                               lambda x: {"q": k}, _q_color)
-    return _series_report("KN1", caps, lhs, rhs, {"extensions": ext, "k": k})
+    rhs = partial(_staircase_side, ctx, P, s, max_count, _D,
+                  lambda x: {"q": k}, _q_color)
+    return _cancel_report("KN1", caps, lhs, rhs, {"k": k})
 
 
 def _verify_KN(P, s, capx, capt, max_points, max_count, max_steps):
@@ -489,9 +512,9 @@ def _verify_KN(P, s, capx, capt, max_points, max_count, max_steps):
         return terms
 
     lhs = _lhs_independent_products(ctx, P, factor_terms, capt)
-    rhs, ext = _staircase_side(ctx, P, s, max_count, _D, lambda x: {},
-                               lambda x, r: {f"q{x}": r})
-    return _series_report("KN", caps, lhs, rhs, {"extensions": ext, "k": k})
+    rhs = partial(_staircase_side, ctx, P, s, max_count, _D, lambda x: {},
+                  lambda x, r: {f"q{x}": r})
+    return _cancel_report("KN", caps, lhs, rhs, {"k": k})
 
 
 def _verify_RECIPR(P, s, capx, capt, max_points, max_count, max_steps):

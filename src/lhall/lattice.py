@@ -191,10 +191,12 @@ def _region_sum(ctx, P, s, lo, hi, exps, strict=False, max_points=None,
                         key += m - (key & mask)
                     out[key] = out.get(key, 0) + c
         layer = nxt
-    powers = ([ctx.key_of({"t": n}) for n in range(capt + 1)] if graded
-              else [0])
-    return Series(ctx, {(packed >> width) + powers[packed & mask]: c
-                        for packed, c in layer.get((), {}).items()})
+    terms = layer.get((), {})
+    if graded:
+        powers = [ctx.key_of({"t": n}) for n in range(capt + 1)]
+        terms = {(packed >> width) + powers[packed & mask]: c
+                 for packed, c in terms.items()}
+    return Series._adopt(ctx, terms)
 
 
 def partitions_leq(P, s, n, max_points=None):

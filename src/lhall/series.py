@@ -132,6 +132,25 @@ class SeriesContext:
         """
         return self.one()._over_one_minus(self.key_of(exps))
 
+    def _spread(self, terms, step, out, sign=1):
+        """Add sign times terms / (1 - m) into the dict out, m the monomial
+        with key step: each term k spreads along k, k + step, ... up to the
+        caps.  A step of None (m over a cap) adds terms as they are; a step
+        of 0 diverges.  Entries that cancel stay in out as zeros."""
+        if step == 0:
+            raise InvalidInputError("geometric expansion of 1 diverges")
+        get = out.get
+        if step is None:
+            for key, c in terms.items():
+                out[key] = get(key, 0) + sign * c
+            return
+        bias, guard = self._bias, self._guard
+        for key, c in terms.items():
+            c *= sign
+            while not (key + bias) & guard:
+                out[key] = get(key, 0) + c
+                key += step
+
 
 class Series:
     __slots__ = ("ctx", "terms")
@@ -139,6 +158,13 @@ class Series:
     def __init__(self, ctx, terms=None):
         self.ctx = ctx
         self.terms = dict(terms) if terms else {}
+
+    @classmethod
+    def _adopt(cls, ctx, terms):
+        """The series over the dict terms itself, not a copy."""
+        out = cls.__new__(cls)
+        out.ctx, out.terms = ctx, terms
+        return out
 
     def _add_term(self, key, coeff):
         # callers guarantee key is in cap
@@ -187,24 +213,12 @@ class Series:
         return out
 
     def _over_one_minus(self, step):
-        """This series divided by 1 - m, m the monomial with key step.
-
-        Each term k spreads along k, k + step, k + 2 step, ... up to the
-        caps.  A step of None (m over a cap) leaves the series as it is,
-        since 1/(1 - m) is 1 in the window; a step of 0 diverges.
-        """
-        if step == 0:
-            raise InvalidInputError("geometric expansion of 1 diverges")
-        if step is None:
-            return Series(self.ctx, self.terms)
-        bias, guard = self.ctx._bias, self.ctx._guard
+        """This series divided by 1 - m, m the monomial with key step, as
+        ctx._spread spreads it; only a negative coefficient can cancel."""
         out = Series(self.ctx)
-        terms = out.terms
-        for key, c in self.terms.items():
-            while not (key + bias) & guard:
-                terms[key] = terms.get(key, 0) + c
-                key += step
-        out.terms = {k: c for k, c in terms.items() if c}
+        self.ctx._spread(self.terms, step, out.terms)
+        if min(self.terms.values(), default=0) < 0:
+            out.terms = {k: c for k, c in out.terms.items() if c}
         return out
 
     def mul_monomial(self, exps, coeff=1):

@@ -1,10 +1,12 @@
 """Coefficientwise identity checks and the refined descent polynomials."""
 
+import hashlib
+import itertools
 from fractions import Fraction
 from math import factorial, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lhall import (InvalidInputError, Polynomial, ResourceLimitError,
                    Series, SeriesContext,
@@ -14,7 +16,8 @@ from lhall import (InvalidInputError, Polynomial, ResourceLimitError,
                    verify_kn, verify_kn1)
 from lhall import identities
 from lhall.identities import IDENTITY_NAMES, SUITE
-from oracles import (box_points, classical_eulerian, corpus_get,
+from oracles import (all_labeled_posets, box_points, classical_eulerian,
+                     corpus_get,
                      kn_by_extensions, level_graded_sums_by_points,
                      lhs_xy_by_points, lhs_xy_t_by_points, posets,
                      series_first_mismatch, series_report_by_sides, smaps,
@@ -187,6 +190,23 @@ def test_reports_are_deterministic():
     a = verify_identity("R1", P, s).to_json()
     b = verify_identity("R1", P, s).to_json()
     assert a == b
+
+
+def test_suite_reports_on_small_posets_are_pinned():
+    # every SUITE report on every labeled poset with p <= 3 and every s in
+    # {1, 2, 3}^p, 7,072 in all: status, compared, details and witness are
+    # byte-stable across changes to how either side is built and compared
+    digest = hashlib.sha256()
+    count = 0
+    for p in range(4):
+        for P in all_labeled_posets(p):
+            for s in itertools.product((1, 2, 3), repeat=p):
+                for report in verify_all(P, s, names=SUITE, capx=3, capt=5):
+                    digest.update(repr(report.to_json()).encode())
+                    count += 1
+    assert count == 7072
+    assert digest.hexdigest() == ("1f17821ec28e2f813b9ffeb25e631451"
+                                  "325c438d8c36cca2c222b6ee5b24b2f0")
 
 
 def test_kn_wrappers():
@@ -413,51 +433,67 @@ def _extension_sides(P, s, capx, capt):
 
 @st.composite
 def _staircase_cases(draw):
-    """(P, s, capx, capt) with p <= 4, s <= 3 and at most about 1,000
+    """(P, s, capx, capt) with p <= 5, s <= 3 and at most about 1,000
     colored extensions, so that the per-extension oracle stays cheap."""
-    P = draw(posets(max_p=4))
+    P = draw(posets(max_p=5))
     s = draw(smaps_within(P, 1000 // count_linear_extensions(P), max_s=3))
     return P, s, draw(st.integers(0, 3)), draw(st.integers(0, 5))
 
 
 @settings(max_examples=100, deadline=None)
 @given(_staircase_cases())
+@example((make_antichain(5), (1, 2, 1, 1, 2), 0, 3))
+@example((make_chain((2, 1, 3, 4, 5)), (2, 1, 2, 3, 1), 2, 0))
 def test_staircase_sides_match_extension_oracle(case):
-    # rank falls and in-place division against Fraction descent sets and
-    # geometric products, the graded sides times 1 - t; at capx = 0 every x
-    # letter is over its cap, so None keys must pass through the staircase
+    # the transfer of rank falls and the spread divisions against Fraction
+    # descent sets and geometric products, the graded sides times 1 - t; the
+    # side is subtracted from the dict it is given.  At capx = 0 every x
+    # letter is over its cap, and at capt = 0 so is t, so None keys must
+    # pass through the staircase
     P, s, capx, capt = case
     for name, ctx, row, rule, letter, color in _extension_sides(P, s, capx,
                                                                 capt):
-        got, ext = identities._staircase_side(ctx, P, s, None, row, letter,
-                                              color)
+        into = {}
+        ext = identities._staircase_side(ctx, P, s, None, row, letter, color,
+                                         into)
         want, want_ext = staircase_side_by_extensions(ctx, P, s, rule, letter,
                                                       color)
         if "t" in ctx.index:
             want = times_one_minus_t(want)
-        assert got.terms == want.terms, name
+        assert {k: -c for k, c in into.items()} == want.terms, name
         assert ext == want_ext == count_linear_extensions(P) * prod(s)
 
 
 @st.composite
 def _series_pairs(draw, where):
     """Two series over t and two or three other variables, t placed where
-    given, with small caps (capt = 0 too); the second is the first, or the
-    first with a few coefficients changed, and the coefficients are
+    given (left out for where None), with small caps (capt = 0 too); the
+    second is the first, the first with one or a few coefficients changed,
+    or empty, or the first is empty, or both are, and the coefficients are
     positive or of either sign."""
     caps = draw(st.lists(st.integers(0, 3), min_size=2, max_size=3))
     names = [f"v{i}" for i in range(len(caps))]
-    at = {"first": 0, "middle": 1, "last": len(names)}[where]
-    names.insert(at, "t")
-    caps.insert(at, draw(st.integers(0, 4)))
+    if where is not None:
+        at = {"first": 0, "middle": 1, "last": len(names)}[where]
+        names.insert(at, "t")
+        caps.insert(at, draw(st.integers(0, 4)))
     ctx = SeriesContext(dict(zip(names, caps)))
     monomials = st.tuples(*[st.integers(0, c) for c in caps])
     sign = draw(st.sampled_from([st.integers(1, 3), st.integers(-3, 3)]))
     lhs = draw(st.dictionaries(monomials, sign, max_size=12))
     rhs = dict(lhs)
-    if draw(st.booleans()):
+    change = draw(st.sampled_from(["none", "one", "few", "lhs empty",
+                                   "rhs empty", "both empty"]))
+    if change == "one":
+        at = draw(monomials)
+        rhs[at] = rhs.get(at, 0) + draw(st.sampled_from([-2, -1, 1, 2]))
+    elif change == "few":
         rhs.update(draw(st.dictionaries(monomials, st.integers(-3, 3),
                                         min_size=1, max_size=3)))
+    if change in ("lhs empty", "both empty"):
+        lhs = {}
+    if change in ("rhs empty", "both empty"):
+        rhs = {}
 
     def series(terms):
         return Series(ctx, {ctx.key_of(dict(zip(names, e))): c
@@ -477,3 +513,75 @@ def test_report_from_one_minus_t_forms_matches_the_sides(where, data):
                                     times_one_minus_t(rhs))
     assert got.to_json() == series_report_by_sides("X", {}, lhs,
                                                    rhs).to_json()
+
+
+@pytest.mark.parametrize("where", [None, "first", "middle", "last"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_report_by_cancellation_matches_the_sides(where, data):
+    # the extension side subtracted from the lattice side in place, and
+    # rebuilt only when the residual is not zero, reports what comparing the
+    # sides themselves reports; the side is handed over in its form times
+    # 1 - t when graded, and is subtracted a second time only on a fail
+    lhs, rhs = data.draw(_series_pairs(where))
+    # the report subtracts from the lattice side it is given: pass a copy
+    form = times_one_minus_t if where else lambda a: Series(a.ctx, a.terms)
+    calls = []
+
+    def side(terms):
+        calls.append(len(terms))
+        for key, c in form(rhs).terms.items():
+            terms[key] = terms.get(key, 0) - c
+        return 7
+
+    got = identities._cancel_report("X", {"x": 1}, form(lhs), side, {"k": 2})
+    want = series_report_by_sides("X", {"x": 1}, lhs, rhs,
+                                  {"extensions": 7, "k": 2})
+    assert got.to_json() == want.to_json()
+    assert len(calls) == (1 if got.status == "pass"
+                          or not (lhs.terms or rhs.terms) else 2)
+
+
+@pytest.mark.parametrize("mode", ["pass", "changed", "empty"])
+@pytest.mark.parametrize("name", ["F", "COR6"])
+def test_identity_reports_by_cancellation_match_the_sides(monkeypatch, name,
+                                                          mode):
+    # on a walk identity (F) and a product one (COR6): the report equals
+    # the one on the sides themselves, built by the point and extension
+    # oracles, and the lattice side is built once whether it passes or fails
+    _, P, s = corpus_get("antichain2-s22" if name == "COR6" else "vee-s112")
+    capx, capt = 3, 5
+    graded = name == "COR6"
+    ctx = identities._ctx_xy(P, s, capx, capt if graded else None)
+    if graded:
+        lhs = lhs_xy_t_by_points(ctx, P, s, capt, False, False, False)
+        rule, builder = (lambda d: (d[4], 0)), "_lhs_independent_products"
+    else:
+        lhs = lhs_xy_by_points(ctx, P, s, capx, False, False)
+        rule, builder = (lambda d: (d[0], 0)), "_region_sum"
+    rhs, ext = staircase_side_by_extensions(
+        ctx, P, s, rule, identities._x_letter, lambda x, r: {f"y{x}": r})
+    exps = ctx._exponents(min(lhs.terms))
+    original, calls = getattr(identities, builder), []
+
+    def changed(ctx, *args, **kwargs):
+        # the built side as it is, one larger at exps, or empty, in its
+        # form times 1 - t when graded
+        side = original(ctx, *args, **kwargs)
+        calls.append(side)
+        if mode == "empty":
+            return ctx.zero()
+        delta = ctx.monomial(exps) if mode == "changed" else ctx.zero()
+        return side + (times_one_minus_t(delta) if graded else delta)
+
+    monkeypatch.setattr(identities, builder, changed)
+    if mode == "empty":
+        lhs = ctx.zero()
+    elif mode == "changed":
+        lhs = lhs + ctx.monomial(exps)
+    caps = {"x": capx, "t": capt} if graded else {"x": capx}
+    want = series_report_by_sides(name, caps, lhs, rhs, {"extensions": ext})
+    got = verify_identity(name, P, s, capx, capt)
+    assert got.to_json() == want.to_json()
+    assert got.status == ("pass" if mode == "pass" else "fail")
+    assert len(calls) == 1
