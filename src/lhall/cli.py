@@ -19,6 +19,7 @@ its summary line.  Exit status 0 means every requested check passed or was
 skipped as not applicable, 1 means some check failed, 2 means the input
 could not be used, and 3 means the program itself failed unexpectedly.  A
 reader that closes stdout early, as `head` does, ends the run with status 0.
+The identities and roots modules load only with the commands that use them.
 """
 
 from __future__ import annotations
@@ -33,16 +34,13 @@ from fractions import Fraction
 from .colored import (ColoredPermutation, colored_extensions, descent_profile,
                       eulerian_polynomial, statistics)
 from .errors import InvalidInputError, LhallError
-from .identities import (DEFAULT_CAPT, DEFAULT_CAPX, IDENTITY_NAMES,
-                         kn_descent_polynomial, verify_identity, verify_kn,
-                         verify_kn1)
 from .lattice import (_gamma_records, ehrhart_counts, eulerian_via_ehrhart,
                       verify_bijection, verify_ordinal_interlacing)
 from .posets import (linear_extensions, make_antichain, make_chain,
                      ordinal_sum_of_antichains, poset_from_document,
                      poset_to_document, sign_rank, validate_smap)
-from .reports import _dumps, jsonable
-from .roots import is_real_rooted
+from .reports import (DEFAULT_CAPT, DEFAULT_CAPX, IDENTITY_NAMES, _dumps,
+                      jsonable)
 
 
 def _int_list(text):
@@ -225,6 +223,7 @@ def cmd_stats(args):
 
 
 def cmd_verify(args):
+    from .identities import verify_identity, verify_kn, verify_kn1
     capx, capt = _caps(args)
     if args.poset is None:
         if args.identity not in ("KN1", "KN"):
@@ -243,6 +242,7 @@ def cmd_verify(args):
 
 
 def cmd_verify_all(args):
+    from .identities import verify_identity
     capx, capt = _caps(args)
     P, bundled = parse_poset(args.poset)
     s = resolve_smap(args.s, bundled, P)
@@ -297,6 +297,8 @@ def cmd_dual(args):
 
 
 def cmd_kn_roots(args):
+    from .identities import kn_descent_polynomial
+    from .roots import is_real_rooted
     if (args.k < 1 or args.p < 0 or args.samples < 0 or args.max_num < 0
             or args.max_den < 1):
         raise InvalidInputError("--k and --max-den must be positive, and "

@@ -19,7 +19,7 @@ the descent set D and the extra power e.  D is read as the down-set DP of
 colored reads it: rank the pairs (r(x) + shift, x) by _pairs_by_ratio, and
 a step of pi descends exactly when the rank falls, in a transfer along pi.
 
-Every lattice side is one call of lattice._region_sum, graded exactly when
+Every lattice side is one call of _region_sum, graded exactly when
 the context has a variable t.  A graded identity is compared after
 multiplying both sides by 1 - t, a unit of the truncated ring, so the sides
 agree in the window exactly when these forms do.  The lattice side then
@@ -41,19 +41,15 @@ from functools import partial
 from math import prod
 
 from .colored import _descent_polynomial, _ranks
-from .errors import InvalidInputError
-from .lattice import _region_sum, verify_recipr
+from .errors import InvalidInputError, ResourceLimitError
+from .lattice import (DEFAULT_MAX_POINTS, _ceil_div, _earlier_covers,
+                      ehrhart_counts, verify_recipr)
 from .polys import Polynomial, monomial
-from .posets import (_check_walk, _walk_extensions, make_antichain, sign_rank,
-                     validate_smap)
-from .reports import VerificationReport
-from .series import SeriesContext, first_mismatch
-
-DEFAULT_CAPX = 3
-DEFAULT_CAPT = 5
-
-IDENTITY_NAMES = ("F", "F_PLUS", "G", "R1", "R2", "R3", "R4", "RECI", "COR6",
-                  "EUL2", "UQ", "LHP", "QV", "KN1", "KN", "RECIPR")
+from .posets import (_cap, _check_walk, _walk_extensions, make_antichain,
+                     sign_rank, validate_smap)
+from .reports import (DEFAULT_CAPT, DEFAULT_CAPX, IDENTITY_NAMES,
+                      VerificationReport)
+from .series import Series, SeriesContext, first_mismatch
 
 # the identities that apply (or cleanly skip) on any poset at all; KN1, KN
 # and RECIPR have their own dedicated entry points below
@@ -140,6 +136,106 @@ def _cancel_report(name, caps, lhs, side, details=None):
 
 # ---------------------------------------------------------------------------
 # lattice point sides
+
+
+def _region_sum(ctx, P, s, lo, hi, exps, strict=False, max_points=None,
+                max_steps=None):
+    """The lattice side over the (P, s)-partition points of a box, a Series.
+
+    Coordinate j + 1 at value v, 0 <= lo[j] <= v <= hi[j], carries the
+    exponents exps(j, v), or None, which drops the point, and a point
+    carries their product; points over a cap of ctx drop out.  The side is
+    graded exactly when ctx has a variable t, which exps leaves alone: it
+    sums t^n times the points of the level-n region, f(x) <= n s(x) (or
+    f(x) < n s(x) when strict), and is returned times 1 - t, which holds
+    each point once, at t to its entry level: the largest ceil(v / s) over
+    its coordinates (v // s + 1 when strict).
+
+    The walk assigns values in label order, as enumerate_points does, but
+    carries a layer of frontier states instead of single points: a state
+    holds the values of the assigned coordinates that a later cover still
+    reads, and maps each packed key << w | running level, w the bit width
+    of the t cap, to the number of partial points reaching it.  A value
+    whose entry is None or past the t cap, or which takes the running key
+    past its caps (the SeriesContext guard test after each addition),
+    prunes its whole subtree; points that agree on the frontier and the
+    packed sum merge, which is the transfer-matrix method (Stanley, EC1
+    4.7).
+
+    Refused up front when the level-n region holding the box, n the least
+    level with hi <= n s, has more lattice points than max_points (else
+    LHALL_MAX_POINTS); they are counted by ehrhart_counts only when the box
+    itself is larger than the cap.
+    """
+    limit = _cap(max_points, "LHALL_MAX_POINTS", DEFAULT_MAX_POINTS)
+    if prod(max(b - a + 1, 0) for a, b in zip(lo, hi)) > limit:
+        n = max((_ceil_div(b, v) for b, v in zip(hi, s)), default=0)
+        count = ehrhart_counts(P, s, n, max_steps)[n]
+        if count > limit:
+            raise ResourceLimitError(
+                f"{count} lattice points in the level-{n} region exceed the "
+                f"cap {limit}; raise LHALL_MAX_POINTS")
+    graded = "t" in ctx.index
+    capt = ctx.caps[ctx.index["t"]] if graded else 0
+    width = capt.bit_length()
+    mask = (1 << width) - 1
+
+    def enter(j, v):
+        # coordinate j at value v: (key << width, entry level), or None
+        m = (v // s[j] + 1 if strict else _ceil_div(v, s[j])) if graded else 0
+        e = exps(j, v)
+        key = None if e is None or m > capt else ctx.key_of(e)
+        return None if key is None else (key << width, m)
+
+    bias, guard = ctx._bias << width, ctx._guard << width
+    lower_of, upper_of = _earlier_covers(P)
+    last = [0] * (P.p + 1)  # the last coordinate whose bounds read u
+    for x in P.elements:
+        for u in lower_of[x] + upper_of[x]:
+            last[u] = x
+    frontier = []
+    layer = {(): {0: 1}}
+    for x in P.elements:
+        at = {u: i for i, u in enumerate(frontier)}
+        sx = s[x - 1]
+        lows = [(at[u], s[u - 1]) for u in lower_of[x]]
+        ups = [(at[u], s[u - 1]) for u in upper_of[x]]
+        frontier.append(x)
+        keep = [i for i, u in enumerate(frontier) if last[u] > x]
+        frontier = [frontier[i] for i in keep]
+        entries = [enter(x - 1, v) for v in range(hi[x - 1] + 1)]
+        nxt = {}
+        for vals, sums in layer.items():
+            a, b = lo[x - 1], hi[x - 1]
+            for i, su in lows:
+                a = max(a, _ceil_div(vals[i] * sx, su))
+            for i, su in ups:
+                b = min(b, _ceil_div(vals[i] * sx, su) - 1)
+            items = sums.items()
+            for v in range(a, b + 1):
+                entry = entries[v]
+                if entry is None:
+                    continue
+                step, m = entry
+                ext = vals + (v,)
+                state = tuple([ext[i] for i in keep])
+                out = nxt.get(state)
+                if out is None:
+                    out = nxt[state] = {}
+                for key, c in items:
+                    key += step
+                    if (key + bias) & guard:
+                        continue
+                    if key & mask < m:
+                        key += m - (key & mask)
+                    out[key] = out.get(key, 0) + c
+        layer = nxt
+    terms = layer.get((), {})
+    if graded:
+        powers = [ctx.key_of({"t": n}) for n in range(capt + 1)]
+        terms = {(packed >> width) + powers[packed & mask]: c
+                 for packed, c in terms.items()}
+    return Series._adopt(ctx, terms)
 
 
 def _digits(s, primed, labels):

@@ -16,6 +16,12 @@ from .polys import Polynomial
 
 _FRESH = object()  # the default of caps and details: a new empty dict
 
+# lhall.identities' names and default caps, which the CLI parser reads
+DEFAULT_CAPX = 3
+DEFAULT_CAPT = 5
+IDENTITY_NAMES = ("F", "F_PLUS", "G", "R1", "R2", "R3", "R4", "RECI", "COR6",
+                  "EUL2", "UQ", "LHP", "QV", "KN1", "KN", "RECIPR")
+
 
 def _encode(v):
     if isinstance(v, Fraction):

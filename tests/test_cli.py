@@ -1,5 +1,6 @@
 """End-to-end runs of the command line front end via cli.main."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -358,6 +359,35 @@ def test_closed_stdout_exits_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 0
     assert head == b'{"covers":' and err == b""
+
+
+# one small run of every subcommand
+SMOKE = {
+    "eulerian": ["--poset", "chain:1,2", "--s", "1,2"],
+    "ehrhart": ["--poset", "antichain:2", "--s", "1,2", "--nmax", "3"],
+    "extensions": ["--poset", "antichain:2", "--s", "1,2"],
+    "stats": ["--pi", "2,1", "--colors", "0,1", "--s", "1,2"],
+    "verify": ["--identity", "F", "--poset", "antichain:2", "--s", "1,2"],
+    "verify-all": ["--poset", "chain:2,1;s=1,2"],
+    "bij": ["--poset", "chain:1,2", "--n", "2"],
+    "ordinal-interlacing": ["--blocks", "2,1", "--block-s", "1,2"],
+    "scan-gamma": ["--pmax", "3"],
+    "dual": ["--poset", "chain:1,2"],
+    "kn-roots": ["--k", "2", "--p", "2", "--samples", "3"],
+}
+
+
+def test_every_subcommand_runs_in_a_fresh_process():
+    # a fresh interpreter has loaded only what the command imports, so a
+    # module that a command uses but does not import fails here, as it
+    # cannot in this process
+    subs = next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    assert set(SMOKE) == set(subs.choices)
+    for command, argv in SMOKE.items():
+        code, out, err = run_process(command, *argv)
+        assert (command, code, err) == (command, 0, "")
+        assert [json.loads(line) for line in out.splitlines()]
 
 
 def test_dual(capsys):

@@ -10,12 +10,12 @@ from lhall import (InvalidInputError, LabeledPoset, Polynomial,
                    colored_extensions, descent_profile, ehrhart_counts,
                    enumerate_points, eulerian_polynomial, eulerian_via_ehrhart,
                    is_partition_point, lattice, make_antichain, make_chain,
-                   partitions_leq, partitions_lt, scan_gamma, sign_rank,
-                   sign_ranked_posets, verify_bijection,
+                   partitions_leq, partitions_lt, roots, scan_gamma,
+                   sign_rank, sign_ranked_posets, verify_bijection,
                    verify_cone_decomposition, verify_ordinal_interlacing,
                    verify_recipr)
 from lhall.corpus import CORPUS
-from lhall.identities import _digits
+from lhall.identities import _digits, _region_sum
 from oracles import (all_labeled_posets, box_points, corpus_get,
                      ehrhart_by_walk, is_point_frac, posets,
                      region_points, region_sum_by_points, sign_ranked_corpus,
@@ -138,7 +138,7 @@ def test_region_sum_matches_points_on_random_boxes(case):
     want = region_sum_by_points(ctx, P, s, lo, hi, exps, strict)
     if "t" in ctx.index:
         want = times_one_minus_t(want)
-    walked = lattice._region_sum(ctx, P, s, lo, hi, exps, strict)
+    walked = _region_sum(ctx, P, s, lo, hi, exps, strict)
     assert walked.ctx is ctx and walked.terms == want.terms
 
 
@@ -389,7 +389,7 @@ def test_verify_ordinal_interlacing_failures(monkeypatch):
     report = verify_ordinal_interlacing((1,), (3,))
     assert report.failed
     assert report.reason == "interleaving needs real-rooted polynomials"
-    monkeypatch.setattr(lattice, "interlacing_failure", lambda family: None)
+    monkeypatch.setattr(roots, "interlacing_failure", lambda family: None)
     report = verify_ordinal_interlacing((1,), (3,))
     assert report.failed
     assert report.reason == "Eulerian polynomial is not real-rooted"

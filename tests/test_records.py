@@ -1,6 +1,8 @@
 """The six record classes: constructors, equality, hashing, immutability and
-repr, which they keep as plain classes, and the import cost they avoid."""
+repr, which they keep as plain classes, and the import cost they avoid; the
+lazy package namespace, and the modules a launch loads."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -46,6 +48,40 @@ CASES = [
      "witness={'a': 1}, reason='why', details=None)"),
 ]
 FROZEN = CASES[:5]
+
+# the public names of the package, by defining module
+PUBLIC = {
+    "colored": ("ColoredPermutation", "DescentProfile", "colored_extensions",
+                "descent_profile", "eulerian_polynomial", "refined_eulerian",
+                "statistics"),
+    "corpus": ("CORPUS",),
+    "errors": ("InternalCheckError", "InvalidInputError", "LhallError",
+               "NotPolynomialError", "ResourceLimitError"),
+    "identities": ("IDENTITY_NAMES", "SUITE", "kn_descent_polynomial",
+                   "verify_all", "verify_identity", "verify_kn",
+                   "verify_kn1"),
+    "lattice": ("bij_eta", "bij_u", "ehrhart_counts", "enumerate_points",
+                "eulerian_via_ehrhart", "is_partition_point",
+                "partitions_leq", "partitions_lt", "scan_gamma",
+                "verify_bijection", "verify_cone_decomposition",
+                "verify_ordinal_interlacing", "verify_recipr"),
+    "polys": ("Polynomial", "compose_linear", "gamma_vector",
+              "hstar_from_counts", "int_coefficients", "interpolate",
+              "is_palindromic", "monomial"),
+    "posets": ("LabeledPoset", "RankInfo", "count_linear_extensions",
+               "epsilon", "linear_extensions", "make_antichain", "make_chain",
+               "ordinal_sum_of_antichains", "poset_from_document",
+               "poset_to_document", "sign_rank", "sign_ranked_posets",
+               "validate_smap"),
+    "reports": ("VerificationReport", "jsonable"),
+    "roots": ("interlacing_failure", "interleaves", "is_real_rooted",
+              "isolate_real_roots", "real_root_count"),
+    "series": ("Series", "SeriesContext", "first_mismatch", "to_records"),
+}
+# what `scan-gamma` runs, and so all that `import lhall.cli` may load
+CLI_MODULES = {"lhall", "lhall.cli", "lhall.colored", "lhall.errors",
+               "lhall.lattice", "lhall.polys", "lhall.posets",
+               "lhall.reports"}
 IDS = [case[0].__name__ for case in CASES]
 
 
@@ -112,15 +148,39 @@ def test_trusted_records_equal_validated_ones():
         g.coeffs = ()
 
 
-def test_importing_the_cli_loads_no_dataclasses():
-    # the modules a dataclass decoration pulls in, measured against what the
-    # bare interpreter has already loaded
+def _modules_added_by(statement):
+    """The modules a fresh interpreter loads for statement, measured against
+    what the bare interpreter has already loaded."""
     src = str(Path(lhall.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    script = ("import sys; before = set(sys.modules); import lhall.cli; "
+    script = (f"import sys; before = set(sys.modules); {statement}; "
               "print(' '.join(sorted(set(sys.modules) - before)))")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=60, check=True)
-    added = set(proc.stdout.split())
-    assert "lhall.cli" in added
+    return set(proc.stdout.split())
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # neither the modules a dataclass decoration pulls in, nor any lhall
+    # module that scan-gamma does not run; the package itself loads nothing
+    added = _modules_added_by("import lhall.cli")
     assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    assert {m for m in added if m.split(".")[0] == "lhall"} == CLI_MODULES
+    assert _modules_added_by("import lhall") == {"lhall"}
+
+
+def test_lazy_namespace_resolves_every_public_name():
+    star = {}
+    exec("from lhall import *", star)
+    del star["__builtins__"]
+    pairs = [(module, name) for module, names in PUBLIC.items()
+             for name in names]
+    assert len(pairs) == 65 and set(star) == {name for _, name in pairs}
+    listed = dir(lhall)
+    for module, name in pairs:
+        value = getattr(importlib.import_module(f"lhall.{module}"), name)
+        assert getattr(lhall, name) is value
+        assert name in listed
+        assert star[name] is value
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        lhall.no_such_name
