@@ -36,6 +36,7 @@ from .colored import (ColoredPermutation, colored_extensions, descent_profile,
 from .errors import InvalidInputError, LhallError
 from .lattice import (_gamma_records, ehrhart_counts, eulerian_via_ehrhart,
                       verify_bijection, verify_ordinal_interlacing)
+from .polys import hstar_from_counts
 from .posets import (linear_extensions, make_antichain, make_chain,
                      ordinal_sum_of_antichains, poset_from_document,
                      poset_to_document, sign_rank, validate_smap)
@@ -179,7 +180,9 @@ def cmd_ehrhart(args):
     counts = ehrhart_counts(P, s, args.nmax)
     payload = {"poset": poset_to_document(P), "s": list(s), "counts": counts}
     if args.nmax >= P.p + 2:
-        payload["eulerian_from_counts"] = eulerian_via_ehrhart(P, s)
+        # eulerian_via_ehrhart's counts are the first p + 3 of these
+        payload["eulerian_from_counts"] = hstar_from_counts(counts[:P.p + 3],
+                                                            P.p)
     _emit(payload, args.format)
     return 0
 

@@ -172,12 +172,12 @@ def _descent_polynomial(P, s, shift=0, start=False, end=True, weight=None,
                 for x, v in enumerate(s, 1)]
     # no coefficient exceeds the weight of all words, p! * prod(sums)
     bits = (factorial(P.p) * prod(sums)).bit_length()
-    pairs = [[] for _ in range(P.p + 1)]
-    for j, (k, x) in enumerate(order):
-        pairs[x].append((j, 1 << bits if start and k == shift else 1))
-    row = _word_table(P, _cover_masks(P)[0], pairs, bits, weights)
-    return _unpack(sum(w << bits if end and order[j][0] > shift else w
-                       for j, w in enumerate(row)), bits)
+    first = [1 << bits if k == shift else 1 for k, _ in order]
+    row = _word_table(P, _cover_masks(P)[0], [x for _, x in order], bits,
+                      first if start else None, weights)
+    if end:
+        row = [w << bits if k > shift else w for (k, _), w in zip(order, row)]
+    return _unpack(sum(row), bits)
 
 
 def eulerian_polynomial(P, s, max_steps=None):
@@ -214,11 +214,9 @@ def _suffix_table(P, order, bits, rows=None):
     of their first pair, top - j for the pair order[j]; rows collects the
     row of every up-set (see _word_table).
     """
-    top = len(order) - 1
-    pairs = [[] for _ in range(P.p + 1)]
-    for j, (k, x) in enumerate(order):
-        pairs[x].append((top - j, 1 << bits if k else 1))
-    return _word_table(P, _cover_masks(P)[1], pairs, bits, rows=rows)
+    order = order[::-1]
+    return _word_table(P, _cover_masks(P)[1], [x for _, x in order], bits,
+                       [1 << bits if k else 1 for k, _ in order], rows=rows)
 
 
 def _parent_tables(P, rho):
@@ -240,10 +238,8 @@ def _parent_tables(P, rho):
     bits = (factorial(P.p + 1) * prod(s) * (P.p + 1)).bit_length()
     fwd, bwd = {}, {}
     if P.p:
-        pairs = [[] for _ in range(P.p + 1)]
-        for j, (k, x) in enumerate(order):
-            pairs[x].append((j, 1))
-        _word_table(P, _cover_masks(P)[0], pairs, bits, rows=fwd)
+        _word_table(P, _cover_masks(P)[0], [x for _, x in order], bits,
+                    rows=fwd)
         _suffix_table(P, order, bits, rows=bwd)
 
     def split(row, low):

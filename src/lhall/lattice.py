@@ -136,43 +136,36 @@ def ehrhart_counts(P, s, nmax, max_steps=None):
     empty set: at value 0 every element is tried in label order, then each
     unit (n-1, n] tries the pairs (k, x) with 1 <= k <= s(x) in the order
     (k/s(x), x).  A try adds x when x is missing and its lower covers are
-    in, and counts[n] is the weight on the full set after unit n.  The sweep
-    is refused up front when a bound on the down-sets of P times
-    (p + nmax * sum(s)) exceeds max_steps (else LHALL_MAX_DP, default
-    DEFAULT_DP_CAP).
+    in, and counts[n] is the weight on the full set after unit n.  The
+    moves of each x, (from, to) pairs of down-set indices, are found once,
+    with one dict probe per edge, and each sweep runs one flat list of
+    them.  The sweep is refused up front when a bound on the down-sets of
+    P times (p + nmax * sum(s)) exceeds max_steps (else LHALL_MAX_DP,
+    default DEFAULT_DP_CAP).
     """
     s = validate_smap(P, s)
     if nmax < 0:
         raise InvalidInputError("nmax must be nonnegative")
     _check_dp(P, P.p + nmax * sum(s), max_steps)
     lower, _ = _cover_masks(P)
+    elems = [(1 << (x - 1), lower[x], []) for x in P.elements]
     index = {0: 0}
-    downsets = [0]
-    moves = [[] for _ in range(P.p + 1)]  # (from, to) down-set indices per x
-    for S in downsets:
-        for x in P.elements:
-            bit = 1 << (x - 1)
-            if not S & bit and not lower[x] & ~S:
-                T = S | bit
-                if T not in index:
-                    index[T] = len(downsets)
-                    downsets.append(T)
-                moves[x].append((index[S], index[T]))
-    weight = [0] * len(downsets)
-    weight[0] = 1
-
-    def sweep(xs):
-        for x in xs:
-            for a, b in moves[x]:
-                weight[b] += weight[a]
-
-    unit = [x for _, x in _pairs_by_ratio(s, 1)]
-    full = index[(1 << P.p) - 1]
-    sweep(P.elements)
-    counts = [weight[full]]
-    for _ in range(nmax):
-        sweep(unit)
-        counts.append(weight[full])
+    downsets = [0]  # in order of size, so the full set comes last
+    for a, S in enumerate(downsets):
+        for bit, need, moves in elems:
+            if not S & bit and not need & ~S:
+                b = index.setdefault(S | bit, len(downsets))
+                if b == len(downsets):
+                    downsets.append(S | bit)
+                moves.append((a, b))
+    zero = [m for _, _, moves in elems for m in moves]
+    unit = [m for _, x in _pairs_by_ratio(s, 1) for m in elems[x - 1][2]]
+    weight = [1] + [0] * (len(downsets) - 1)
+    counts = []
+    for steps in [zero] + [unit] * nmax:
+        for a, b in steps:
+            weight[b] += weight[a]
+        counts.append(weight[-1])
     return counts
 
 
@@ -181,10 +174,9 @@ def eulerian_via_ehrhart(P, s, max_steps=None):
 
     Counts for n = 0, ..., p + 2 leave two spare values beyond what the
     numerator needs, so a non-polynomial count sequence cannot slip through.
+    s is validated once, by ehrhart_counts.
     """
-    s = validate_smap(P, s)
-    counts = ehrhart_counts(P, s, P.p + 2, max_steps)
-    return hstar_from_counts(counts, P.p)
+    return hstar_from_counts(ehrhart_counts(P, s, P.p + 2, max_steps), P.p)
 
 
 def bij_u(f, rho):

@@ -190,24 +190,24 @@ def interpolate(points):
 def hstar_from_counts(counts, p):
     """Numerator of sum_n counts[n] t^n written over (1 - t)^(p + 1).
 
-    counts must hold the values for n = 0, ..., m with m >= p.  Entries of
-    the numerator beyond degree p must vanish; a nonzero one means the counts
+    counts must hold the values for n = 0, ..., m with m >= p >= 0.  The
+    series is multiplied by (1 - t)^(p + 1) as p + 1 first differences in
+    place, each a multiplication by 1 - t truncated at t^m.  Entries of the
+    numerator beyond degree p must vanish; a nonzero one means the counts
     do not come from a degree-p polynomial and NotPolynomialError is raised.
     """
     cs = [_exact(c) for c in counts]
     m = len(cs) - 1
     if m < p:
         raise InvalidInputError(f"need counts up to n = {p}, got {m}")
-    signed = [(-1) ** j * comb(p + 1, j) for j in range(p + 2)]
-    out = []
-    for k in range(m + 1):
-        out.append(sum(signed[j] * cs[k - j]
-                       for j in range(min(k, p + 1) + 1)))
+    for _ in range(p + 1):
+        for k in range(m, 0, -1):
+            cs[k] -= cs[k - 1]
     for k in range(p + 1, m + 1):
-        if out[k] != 0:
+        if cs[k] != 0:
             raise NotPolynomialError(
-                f"numerator has degree above {p}: coefficient {out[k]} at t^{k}")
-    return Polynomial(tuple(out[:p + 1]))
+                f"numerator has degree above {p}: coefficient {cs[k]} at t^{k}")
+    return Polynomial(tuple(cs[:p + 1]))
 
 
 def int_coefficients(poly):

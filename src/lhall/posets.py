@@ -297,34 +297,40 @@ def count_linear_extensions(P, max_steps=None):
     _check_dp(P, P.p, max_steps)
     if not P.p:
         return 1
-    pairs = [[]] + [[(x - 1, 1)] for x in P.elements]
-    return sum(_word_table(P, _cover_masks(P)[0], pairs, 0))
+    return sum(_word_table(P, _cover_masks(P)[0], P.elements, 0))
 
 
-def _word_table(P, need, pairs, bits, weight=None, rows=None):
+def _word_table(P, need, xs, bits, first=None, weight=None, rows=None):
     """Weights of the words that place every element of P, by last pair.
 
     A word lists each element once, each with one of its pairs; x may come
-    only after every element of the bitmask need[x].  pairs[x] holds a
-    (rank, first) entry per pair of x, where first is the weight of the
-    word when that pair opens it.  Every later step to a lower rank
-    multiplies the weight by t, and each pair of rank j by weight[j] when
-    given.  Weights are polynomials in t packed into one integer, `bits`
-    bits per coefficient, so t is a shift.  The DP runs one layer of placed
+    only after every element of the bitmask need[x].  The pair of rank j
+    belongs to the element xs[j], and a word opened by it weighs first[j]
+    (1 when first is None).  Every later step to a lower rank multiplies
+    the weight by t, and each pair of rank j by weight[j] when given.
+    Weights are polynomials in t packed into one integer, `bits` bits per
+    coefficient, so t is a shift.  The DP runs one layer of placed
     down-sets at a time: a row holds the weight per rank of the last pair,
     and its prefix sums split the weight of a new pair into the part from
-    lower ranks (no step down) and the rest (times t).  A row multiplies in
-    the weight of its last pair only when it is read, once per row rather
-    than once per step.  When given, the dict rows collects the rows of
-    every layer by down-set, without the weight of their last pair.
+    lower ranks (no step down) and the rest (times t).  Each element's
+    bit, need mask and ranks are found once per call; rank j of the row of
+    T comes from T without xs[j] alone, so it is set, not summed.  A row
+    multiplies in the weight of its last pair only when it is read, once
+    per row rather than once per step.  When given, the dict rows collects
+    the rows of every layer by down-set, without the weight of their last
+    pair.
     """
-    size = sum(len(v) for v in pairs)
+    size = len(xs)
+    ranks = [[] for _ in range(P.p + 1)]
+    for j, x in enumerate(xs):
+        ranks[x].append(j)
+    elems = [(1 << (x - 1), need[x], ranks[x]) for x in P.elements]
     layer = {}
-    for x in P.elements:
-        if not need[x]:
-            row = layer.setdefault(1 << (x - 1), [0] * size)
-            for j, first in pairs[x]:
-                row[j] += first
+    for bit, need_x, ranks_x in elems:
+        if not need_x:
+            row = layer[bit] = [0] * size
+            for j in ranks_x:
+                row[j] = 1 if first is None else first[j]
     for _ in range(P.p - 1):
         if rows is not None:
             rows.update(layer)
@@ -334,17 +340,15 @@ def _word_table(P, need, pairs, bits, weight=None, rows=None):
                 row = list(map(mul, row, weight))
             lower = list(itertools.accumulate(row, initial=0))
             total = lower[-1]
-            for x in P.elements:
-                bit = 1 << (x - 1)
-                if S & bit or need[x] & ~S:
+            for bit, need_x, ranks_x in elems:
+                if S & bit or need_x & ~S:
                     continue
-                T = S | bit
-                target = nxt.get(T)
+                target = nxt.get(S | bit)
                 if target is None:
-                    target = nxt[T] = [0] * size
-                for j, _ in pairs[x]:
+                    target = nxt[S | bit] = [0] * size
+                for j in ranks_x:
                     lo = lower[j]
-                    target[j] += lo + ((total - lo) << bits)
+                    target[j] = lo + ((total - lo) << bits)
         layer = nxt
     if rows is not None:
         rows.update(layer)

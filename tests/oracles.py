@@ -5,9 +5,10 @@ and filtered with Fraction comparisons over every strict relation of the
 order (not just the covers), descent sets are recomputed with exact
 division, Eulerian polynomials, plain or color-weighted, come from walking
 every colored extension, level counts from a depth-first walk over the
-points, sign-ranked posets from filtering every labeled poset, classical
-Eulerian numbers from counting descents of uncolored permutations, and
-truncated series arithmetic on exponent tuples; the lattice sides of the
+points, h* numerators from the signed-binomial convolution, sign-ranked
+posets from filtering every labeled poset, classical Eulerian numbers from
+counting descents of uncolored permutations, and truncated series
+arithmetic on exponent tuples; the lattice sides of the
 identities come from one enumerated point at a time, with digits and entry
 levels recomputed from their definitions, and their extension
 sides from one colored extension at a time, both in full rather than times
@@ -19,13 +20,15 @@ relations, the strict order, and the order of the pairs (k, x).
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
-from math import ceil, floor
+from math import ceil, comb, floor
 
 from hypothesis import strategies as st
 
 from lhall import (CORPUS, InvalidInputError, LabeledPoset,
-                   VerificationReport, enumerate_points, first_mismatch,
-                   linear_extensions, make_antichain, sign_rank)
+                   NotPolynomialError, Polynomial, VerificationReport,
+                   enumerate_points, first_mismatch, linear_extensions,
+                   make_antichain, sign_rank)
+from lhall.polys import _exact
 from lhall.posets import _bits
 
 
@@ -271,6 +274,24 @@ def classical_eulerian(p):
         counts[sum(1 for i in range(p - 1) if pi[i] > pi[i + 1])] += 1
     return counts
 
+
+def hstar_by_convolution(counts, p):
+    """hstar_from_counts by convolving the counts with the signed binomials
+    of (1 - t)^(p + 1), each numerator coefficient summed in full."""
+    cs = [_exact(c) for c in counts]
+    m = len(cs) - 1
+    if m < p:
+        raise InvalidInputError(f"need counts up to n = {p}, got {m}")
+    signed = [(-1) ** j * comb(p + 1, j) for j in range(p + 2)]
+    out = []
+    for k in range(m + 1):
+        out.append(sum(signed[j] * cs[k - j]
+                       for j in range(min(k, p + 1) + 1)))
+    for k in range(p + 1, m + 1):
+        if out[k] != 0:
+            raise NotPolynomialError(
+                f"numerator has degree above {p}: coefficient {out[k]} at t^{k}")
+    return Polynomial(tuple(out[:p + 1]))
 
 
 def _in_caps(key, caps):

@@ -1,5 +1,6 @@
 """Lattice point enumeration, Ehrhart counts, bijection and region checks."""
 
+import hashlib
 from itertools import product
 
 import pytest
@@ -10,16 +11,17 @@ from lhall import (InvalidInputError, LabeledPoset, Polynomial,
                    colored_extensions, descent_profile, ehrhart_counts,
                    enumerate_points, eulerian_polynomial, eulerian_via_ehrhart,
                    is_partition_point, lattice, make_antichain, make_chain,
-                   partitions_leq, partitions_lt, roots, scan_gamma,
-                   sign_rank, sign_ranked_posets, verify_bijection,
+                   partitions_leq, partitions_lt, refined_eulerian, roots,
+                   scan_gamma, sign_rank, sign_ranked_posets, verify_bijection,
                    verify_cone_decomposition, verify_ordinal_interlacing,
                    verify_recipr)
 from lhall.corpus import CORPUS
 from lhall.identities import _digits, _region_sum
 from oracles import (all_labeled_posets, box_points, corpus_get,
-                     ehrhart_by_walk, is_point_frac, posets,
-                     region_points, region_sum_by_points, sign_ranked_corpus,
-                     smaps, smaps_within, times_one_minus_t)
+                     ehrhart_by_walk, eulerian_by_extensions, is_point_frac,
+                     posets, region_points, region_sum_by_points,
+                     sign_ranked_corpus, smaps, smaps_within,
+                     times_one_minus_t)
 
 
 def test_enumerate_points_frozen_cases():
@@ -171,6 +173,36 @@ def test_antichain_counts_product_formula():
 def test_eulerian_via_ehrhart_matches_direct_summation():
     for name, P, s in CORPUS:
         assert eulerian_via_ehrhart(P, s) == eulerian_polynomial(P, s), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_eulerian_via_ehrhart_matches_extension_walk(data):
+    P = data.draw(posets(max_p=5))
+    s = data.draw(smaps(P))
+    assert eulerian_via_ehrhart(P, s) == Polynomial(
+        tuple(eulerian_by_extensions(P, s)))
+
+
+def test_eulerian_and_ehrhart_on_small_posets_are_pinned():
+    # eulerian_polynomial, refined_eulerian, the counts up to p + 2 and
+    # eulerian_via_ehrhart on every labeled poset with 1 <= p <= 4 and every
+    # s in {1, 2}^p, 3,670 pairs: byte-stable across changes to the DPs,
+    # to the sweep and to the h* extraction
+    digest = hashlib.sha256()
+    count = 0
+    for p in range(1, 5):
+        for P in all_labeled_posets(p):
+            for s in product((1, 2), repeat=p):
+                for value in (eulerian_polynomial(P, s),
+                              refined_eulerian(P, s),
+                              ehrhart_counts(P, s, p + 2),
+                              eulerian_via_ehrhart(P, s)):
+                    digest.update(repr(value).encode())
+                count += 1
+    assert count == 3670
+    assert digest.hexdigest() == ("5cb6cfceec1f0b0e24fff02d96bf8a21"
+                                  "497383b5b867033c4e5258cefcb612d4")
 
 
 def test_resource_caps():

@@ -12,7 +12,7 @@ from lhall import (InvalidInputError, NotPolynomialError, Polynomial,
                    is_palindromic, kn_descent_polynomial, monomial)
 from lhall.colored import _unpack
 from lhall.polys import _trusted_polynomial
-from oracles import posets, smaps
+from oracles import hstar_by_convolution, posets, smaps
 
 small_polys = st.builds(
     Polynomial, st.lists(st.integers(-9, 9), max_size=6).map(tuple))
@@ -119,6 +119,47 @@ def test_hstar_from_counts():
         hstar_from_counts([1, 2], 3)
     with pytest.raises(NotPolynomialError):
         hstar_from_counts([1, 2, 4, 8], 1)
+
+
+@st.composite
+def _count_sequences(draw):
+    """(counts, p): values of a polynomial of degree <= p at n = 0, ..., m,
+    as ints or as Fractions, sometimes with one value moved, too few of
+    them, or one of them a float."""
+    p = draw(st.integers(0, 5))
+    coeff = draw(st.sampled_from([st.integers(-9, 9),
+                                  st.fractions(-3, 3, max_denominator=4)]))
+    f = Polynomial(tuple(draw(st.lists(coeff, max_size=p + 1))))
+    counts = [f(n) for n in range(draw(st.integers(p, p + 4)) + 1)]
+    if draw(st.booleans()):
+        counts = [Fraction(c) for c in counts]
+    kind = draw(st.sampled_from(["exact", "moved", "short", "float"]))
+    if kind == "moved":
+        k = draw(st.integers(0, len(counts) - 1))
+        counts[k] += draw(st.sampled_from([1, -2, Fraction(1, 3)]))
+    elif kind == "short":
+        counts = counts[:draw(st.integers(0, p))]
+    elif kind == "float":
+        counts[draw(st.integers(0, len(counts) - 1))] = 0.5
+    return counts, p
+
+
+def _outcome(f, counts, p):
+    try:
+        return f(counts, p)
+    except (InvalidInputError, NotPolynomialError) as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_count_sequences())
+def test_hstar_by_differences_matches_the_convolution(case):
+    # the same numerator, coefficient types included, and the same error
+    # with the same message: the first nonzero coefficient above p
+    counts, p = case
+    got = _outcome(hstar_from_counts, counts, p)
+    want = _outcome(hstar_by_convolution, counts, p)
+    assert got == want and repr(got) == repr(want)
 
 
 def test_int_coefficients():
