@@ -172,9 +172,11 @@ def _descent_polynomial(P, s, shift=0, start=False, end=True, weight=None,
                 for x, v in enumerate(s, 1)]
     # no coefficient exceeds the weight of all words, p! * prod(sums)
     bits = (factorial(P.p) * prod(sums)).bit_length()
-    first = [1 << bits if k == shift else 1 for k, _ in order]
+    first = None
+    if start:
+        first = [1 << bits if k == shift else 1 for k, _ in order]
     row = _word_table(P, _cover_masks(P)[0], [x for _, x in order], bits,
-                      first if start else None, weights)
+                      first, weights)
     if end:
         row = [w << bits if k > shift else w for (k, _), w in zip(order, row)]
     return _unpack(sum(row), bits)
